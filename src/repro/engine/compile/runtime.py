@@ -24,7 +24,18 @@ Equivalence with the interpreters is the contract here:
 The speed comes from never interpreting the plan per row: fused filter
 runs compose selection vectors and materialize survivors once, joins
 probe with the build dict directly and -- when every probe hits a unique
-build row -- pass the left columns through untouched.
+build row -- pass the probe side's columns through untouched, gathering
+only the built side's.
+
+Which side is built is decided per join at run time.  Whole-batch
+profiles hash-build the input with fewer rows and probe the other (ties
+build the right) -- the "build the smaller side, probe the larger" hash
+join that :mod:`repro.estimation.physical` prices -- because the join
+order optimizer costs both orientations alike and so leaves it to the
+engine.  Output attributes stay left-then-right-extras (the left copy of
+a shared attribute wins); only row order changes, following the probe
+side.  The chunked profile streams its left input, so it always builds
+the right.
 """
 
 from __future__ import annotations
@@ -117,6 +128,11 @@ class ObservationBuffer:
         #: non-additive (replace) taps buffer value columns until flush
         self._pending: dict[AnySE, dict[str, list]] = {}
         self._rejects: list[RejectSE] = []
+        tracer = ctx.tracer
+        self.tracing = tracer is not None and tracer.enabled
+        #: join SE -> which input was hash-built and its rows (traced
+        #: runs only; published on the join's operator point at flush)
+        self.builds: dict[AnySE, dict] = {}
 
     def value_attrs(self, se: AnySE) -> tuple:
         got = self._attr_cache.get(se, _MISSING)
@@ -192,7 +208,7 @@ class ObservationBuffer:
         if self.taps.wants(rej):
             self.taps.observe_columns(rej, table.num_rows, table.columns)
         self._rejects.append(rej)
-        if ctx.tracer is not None and ctx.tracer.enabled:
+        if self.tracing:
             ctx.trace_point(rej, table.num_rows, reject=True)
 
     def flush(self) -> None:
@@ -209,7 +225,9 @@ class ObservationBuffer:
             for se, n in self.counts.items():
                 if self.taps.wants(se):
                     self.taps.observe_columns(se, n, self._pending.get(se))
-        ctx.trace_sizes(self.counts)
+        if self.tracing:
+            for se, n in self.counts.items():
+                ctx.trace_point(se, n, **self.builds.get(se, {}))
 
 
 class CompiledBlockRunner:
@@ -357,108 +375,128 @@ class CompiledBlockRunner:
     ) -> Iterator["Batch"]:
         engine = self.engine
         rcols, rn = _concat(list(self._exec(jir.right, ctx, obs, wanted)))
-        build, unique = _build_side(rcols, jir.key, engine)
-
         want_l = jir.rej_left in wanted
         want_r = jir.rej_right in wanted
-        track = want_l or want_r
-        matched_right: set[int] = set()
-        rej_left_parts: list = []
-        left_attrs: Optional[tuple] = None
+        lbatches = self._exec(jir.left, ctx, obs, wanted)
+        flipped = False
+        if self.profile.chunk_rows is None:
+            # whole batches: hash-build the smaller input, probe the
+            # larger (ties build the right, like the chunked profile,
+            # whose left side streams and so is never built)
+            lcols, ln = _concat(list(lbatches))
+            lbatches = ((lcols, ln),)
+            flipped = ln < rn
+        if flipped:
+            bcols, bn, want_b, want_p = lcols, ln, want_l, want_r
+            probes = ((rcols, rn),)
+        else:
+            bcols, bn, want_b, want_p = rcols, rn, want_r, want_l
+            probes = lbatches
+        build, unique = _build_side(bcols, jir.key, engine)
+        if obs.tracing:
+            obs.builds[jir.se] = {
+                "build": "left" if flipped else "right",
+                "build_rows": bn,
+            }
 
-        for lcols, ln in self._exec(jir.left, ctx, obs, wanted):
-            if left_attrs is None:
-                left_attrs = tuple(lcols)
-            probe = _keys_of(lcols, jir.key, engine)
-            if unique and not track:
-                ris = list(map(build.get, probe))
-                if None not in ris:
-                    # every probe hit a unique build row: the left side
-                    # passes through untouched, only right extras gather
-                    out = dict(lcols)
-                    ridx = engine.index(ris)
-                    for a, col in rcols.items():
-                        if a not in out:
-                            out[a] = engine.gather(col, ridx)
-                    on = ln
-                else:
-                    li, ri = engine.split_hits(ris)
-                    out = self._gather_pair(lcols, rcols, li, ri)
-                    on = len(li)
+        matched: set[int] = set()
+        miss_parts: list = []
+        probe_attrs: Optional[tuple] = None
+        for pcols, pn in probes:
+            if probe_attrs is None:
+                probe_attrs = tuple(pcols)
+            pi, bi, miss = self._probe(
+                _keys_of(pcols, jir.key, engine),
+                build,
+                unique,
+                want_p,
+                want_b,
+                matched,
+            )
+            if flipped:
+                out = self._gather_pair(bcols, pcols, bi, pi)
             else:
-                li_idx: list[int] = []
-                ri_idx: list[int] = []
-                rejl: list[int] = []
-                if unique:
-                    for li, kv in enumerate(probe):
-                        ri = build.get(kv)
-                        if ri is None:
-                            if want_l:
-                                rejl.append(li)
-                            continue
-                        li_idx.append(li)
-                        ri_idx.append(ri)
-                        if want_r:
-                            matched_right.add(ri)
-                else:
-                    for li, kv in enumerate(probe):
-                        bucket = build.get(kv)
-                        if bucket is None:
-                            if want_l:
-                                rejl.append(li)
-                            continue
-                        li_idx.extend([li] * len(bucket))
-                        ri_idx.extend(bucket)
-                        if want_r:
-                            matched_right.update(bucket)
-                out = self._gather_pair(lcols, rcols, li_idx, ri_idx)
-                on = len(li_idx)
-                if want_l and rejl:
-                    idx = engine.index(rejl)
-                    rej_left_parts.append(
-                        (
-                            {
-                                a: engine.gather(c, idx)
-                                for a, c in lcols.items()
-                            },
-                            len(rejl),
-                        )
-                    )
+                out = self._gather_pair(pcols, bcols, pi, bi)
+            on = pn if pi is None else len(pi)
+            if miss:
+                miss_parts.append((self._take(pcols, miss), len(miss)))
             out, on = self._segment(out, on, jir.floating, obs)
             obs.add(jir.se, on, out)
             yield out, on
 
-        canonical = self.profile.canonical_output
-        if want_l:
-            if rej_left_parts:
-                cols, _ = _concat(rej_left_parts)
+        # each side's reject table is exactly that side's unmatched rows
+        probe_rej = build_rej = None
+        if want_p:
+            if miss_parts:
+                probe_rej, _ = _concat(miss_parts)
             else:
-                cols = {a: [] for a in (left_attrs or ())}
-            order = (
-                tuple(self.block.se_attrs(jir.rej_left.source))
-                if canonical
-                else None
+                probe_rej = {a: [] for a in (probe_attrs or ())}
+        if want_b:
+            build_rej = self._take(
+                bcols, [i for i in range(bn) if i not in matched]
             )
-            obs.add_reject(jir.rej_left, cols, order)
-        if want_r:
-            unmatched = [i for i in range(rn) if i not in matched_right]
-            idx = engine.index(unmatched)
-            cols = {a: engine.gather(c, idx) for a, c in rcols.items()}
-            order = (
-                tuple(self.block.se_attrs(jir.rej_right.source))
-                if canonical
-                else None
-            )
-            obs.add_reject(jir.rej_right, cols, order)
+        sides = (build_rej, probe_rej) if flipped else (probe_rej, build_rej)
+        for rej, cols in zip((jir.rej_left, jir.rej_right), sides):
+            if cols is not None:
+                order = (
+                    tuple(self.block.se_attrs(rej.source))
+                    if self.profile.canonical_output
+                    else None
+                )
+                obs.add_reject(rej, cols, order)
+
+    def _probe(self, keys, build, unique, want_p, want_b, matched):
+        """Probe the build dict with one batch's join keys.
+
+        Returns ``(probe indexes, build indexes, probe misses)``.  Probe
+        indexes are ``None`` when every probe row hit exactly one build
+        row in order, so the probe side can pass through ungathered.
+        Misses are only collected when ``want_p``; hit build rows are
+        added to ``matched`` only when ``want_b``.
+        """
+        engine = self.engine
+        if unique and not (want_p or want_b):
+            bis = list(map(build.get, keys))
+            if None not in bis:
+                return None, bis, ()
+            pi, bi = engine.split_hits(bis)
+            return pi, bi, ()
+        pi: list[int] = []
+        bi: list[int] = []
+        miss: list[int] = []
+        for i, kv in enumerate(keys):
+            hit = build.get(kv)
+            if hit is None:
+                if want_p:
+                    miss.append(i)
+                continue
+            if unique:
+                pi.append(i)
+                bi.append(hit)
+                if want_b:
+                    matched.add(hit)
+            else:
+                pi.extend([i] * len(hit))
+                bi.extend(hit)
+                if want_b:
+                    matched.update(hit)
+        return pi, bi, miss
+
+    def _take(self, cols: dict, idx) -> dict:
+        engine = self.engine
+        idx = engine.index(idx)
+        return {a: engine.gather(c, idx) for a, c in cols.items()}
 
     def _gather_pair(self, lcols: dict, rcols: dict, li, ri) -> dict:
+        """Join output: left attrs, then right extras (the left copy of a
+        shared attr wins); a ``None`` index passes its side through."""
+        out = dict(lcols) if li is None else self._take(lcols, li)
         engine = self.engine
-        li = engine.index(li)
-        ri = engine.index(ri)
-        out = {a: engine.gather(c, li) for a, c in lcols.items()}
+        if ri is not None:
+            ri = engine.index(ri)
         for a, col in rcols.items():
             if a not in out:
-                out[a] = engine.gather(col, ri)
+                out[a] = col if ri is None else engine.gather(col, ri)
         return out
 
 

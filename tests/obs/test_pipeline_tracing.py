@@ -8,6 +8,7 @@ suite workflows, with injected clocks so every duration is exact.
 
 import pytest
 
+from repro.algebra.plans import JoinNode, subtrees
 from repro.catalog.store import StatisticsCatalog
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.scheduler import RetryPolicy
@@ -97,6 +98,24 @@ class TestTracedRun:
                 # a point's name is the SE it materialized; its rows match
                 # the run's recorded size for that SE
                 assert point.attrs["rows"] == sizes_by_repr[point.name]
+        # compiled join points say which input was hash-built: the
+        # smaller one (ties build the right), with its row count
+        sizes = report.run.se_sizes
+        by_name = {
+            s.name: s for s in tracer.root.walk() if s.kind == "operator"
+        }
+        joins = [
+            node
+            for block in report.analysis.blocks
+            for node in subtrees(block.initial_tree)
+            if isinstance(node, JoinNode)
+        ]
+        assert joins
+        for node in joins:
+            left, right = sizes[node.left.se], sizes[node.right.se]
+            attrs = by_name[repr(node.se)].attrs
+            assert attrs["build"] == ("left" if left < right else "right")
+            assert attrs["build_rows"] == min(left, right)
         # at least one tap fired somewhere in the tree
         assert any(
             s.attrs.get("tapped") for s in tracer.root.walk()
