@@ -6,7 +6,7 @@ amortization: statistics that are already computable cost nothing, shared
 inputs are charged once (plans are *sets* of observations), and the cost of
 a not-yet-observable input is the recursively cheapest cost of acquiring it
 through its own CSSs.  After each commitment the computability closure is
-refreshed so subsequent rounds see the reduced residual costs -- "the costs
+extended so subsequent rounds see the reduced residual costs -- "the costs
 of the remaining CSSs are reduced based on the statistics picked in this
 step".
 
@@ -17,55 +17,68 @@ the final choice graph is acyclic even on the cyclic CSS graphs
 union-division produces -- no exponential cycle-guard recursion.  The
 additive sum double-counts inputs shared *within* one derivation, which is
 fine for a heuristic: the actual commitment deduplicates via set union.
+
+Two shortcuts keep a round cheap without changing any choice:
+
+- A CSS whose target is already computable is left out of the round's
+  sweeps.  That target's label is 0 and every summed cost is >= 0, so
+  the strict improvement test could never pass for it.
+- The closure is kept across rounds (:class:`~repro.core.selection.Closure`)
+  and grown by each round's commitment instead of being recomputed from
+  the observed set.  The closure is a least fixpoint, so growing it ends
+  at the set a from-scratch pass would reach.
+
+Everything else -- the sweep order over the CSS entries, the summation
+order over each entry's deduplicated inputs, the ``1e-12`` improvement
+margin and the ``min((cost, statistic))`` pick -- is what breaks ties, and
+is fixed.
 """
 
 from __future__ import annotations
 
 from repro.core.costs import INFINITE
-from repro.core.selection import SelectionProblem, SelectionResult
+from repro.core.selection import Closure, SelectionProblem, SelectionResult
 
 _OBSERVE = -1  # choice marker: observe the statistic directly
 
 
 def _label_costs(
-    problem: SelectionProblem, computable: set[int]
+    problem: SelectionProblem,
+    derivations: list[tuple[int, int, tuple[int, ...]]],
+    computable: set[int],
 ) -> tuple[dict[int, float], dict[int, int]]:
     """Cheapest acquisition cost per statistic, plus the supporting choice.
 
-    ``choice[i]`` is ``_OBSERVE`` or the index of the CSS entry whose
-    covered inputs realize the cost.  Only strict improvements update the
-    labels, so following choices never cycles.
+    ``derivations`` lists ``(entry index, target, deduplicated inputs)`` in
+    entry order, self-referencing entries already dropped.  ``choice[i]``
+    is ``_OBSERVE`` or the index of the CSS entry whose covered inputs
+    realize the cost.  Only strict improvements update the labels, so
+    following choices never cycles.
     """
-    best: dict[int, float] = {}
+    best: dict[int, float] = dict.fromkeys(computable, 0.0)
     choice: dict[int, int] = {}
-    for i in computable:
-        best[i] = 0.0
     for i in problem.observable:
-        if i in computable:
-            continue
         cost = problem.costs[i]
-        if cost < INFINITE and cost < best.get(i, INFINITE):
+        if i not in computable and cost < INFINITE:
             best[i] = cost
             choice[i] = _OBSERVE
 
+    open_ = [d for d in derivations if d[1] not in computable]
     changed = True
     while changed:
         changed = False
-        for j, entry in enumerate(problem.entries):
-            members = set(entry.inputs)
-            if entry.target in members:
-                continue
+        for j, target, members in open_:
             total = 0.0
             for k in members:
                 cost_k = best.get(k)
                 if cost_k is None:
-                    total = INFINITE
                     break
                 total += cost_k
-            if total < best.get(entry.target, INFINITE) - 1e-12:
-                best[entry.target] = total
-                choice[entry.target] = j
-                changed = True
+            else:
+                if total < best.get(target, INFINITE) - 1e-12:
+                    best[target] = total
+                    choice[target] = j
+                    changed = True
     return best, choice
 
 
@@ -87,21 +100,29 @@ def _collect_plan(
     if picked == _OBSERVE:
         out.add(stat)
         return
-    for k in set(problem.entries[picked].inputs):
+    for k in problem.entry_inputs[picked]:
         _collect_plan(problem, k, computable, choice, out, visited)
 
 
 def solve_greedy(problem: SelectionProblem) -> SelectionResult:
     """Round-based greedy selection (Section 5.3)."""
+    derivations = [
+        (j, entry.target, members)
+        for j, (entry, members) in enumerate(
+            zip(problem.entries, problem.entry_inputs)
+        )
+        if entry.target not in members
+    ]
     observed: set[int] = set()
-    computable = problem.closure(observed)
+    closure = Closure(problem)
+    computable = closure.computable
     rounds = 0
     while True:
-        uncovered = sorted(set(problem.required) - computable)
+        uncovered = sorted(problem.required - computable)
         if not uncovered:
             break
         rounds += 1
-        best, choice = _label_costs(problem, computable)
+        best, choice = _label_costs(problem, derivations, computable)
         candidates = [
             (best[stat], stat) for stat in uncovered if stat in best
         ]
@@ -114,10 +135,8 @@ def solve_greedy(problem: SelectionProblem) -> SelectionResult:
         plan: set[int] = set()
         _collect_plan(problem, stat, computable, choice, plan, set())
         observed.update(plan)
-        new_computable = problem.closure(observed)
-        if new_computable == computable:  # pragma: no cover - safety net
+        if not closure.add(plan):  # pragma: no cover - safety net
             raise RuntimeError("greedy round made no progress")
-        computable = new_computable
     return SelectionResult(
         problem=problem,
         observed_indexes=observed,

@@ -61,9 +61,9 @@ def _strongly_connected(problem: SelectionProblem) -> dict[int, int]:
     part in a cyclic self-support; everything else needs no level row.
     """
     adj: dict[int, list[int]] = {}
-    for entry in problem.entries:
+    for entry, members in zip(problem.entries, problem.entry_inputs):
         adj.setdefault(entry.target, []).extend(
-            k for k in set(entry.inputs) if k != entry.target
+            k for k in members if k != entry.target
         )
     index: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -174,7 +174,7 @@ def solve_ilp(
     nontrivial = {e.target for e in problem.entries}
 
     for j, entry in enumerate(problem.entries):
-        members = sorted(set(entry.inputs))
+        members = sorted(problem.entry_inputs[j])
         if entry.target in members:
             ub[z0 + j] = 0.0  # a self-referential CSS can never support
             continue

@@ -41,6 +41,11 @@ class SelectionProblem:
     costs: list[float]
     index: dict[Statistic, int] = field(default_factory=dict)
     by_target: dict[int, list[int]] = field(default_factory=dict)
+    #: each entry's inputs deduplicated as ``tuple(set(inputs))``: the same
+    #: order iterating ``set(inputs)`` gives, so sums over it are unchanged
+    entry_inputs: list[tuple[int, ...]] = field(init=False, repr=False)
+    #: statistic -> the entries that take it as an input
+    consumers: dict[int, list[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.index:
@@ -48,6 +53,11 @@ class SelectionProblem:
         if not self.by_target:
             for j, entry in enumerate(self.entries):
                 self.by_target.setdefault(entry.target, []).append(j)
+        self.entry_inputs = [tuple(set(entry.inputs)) for entry in self.entries]
+        self.consumers = {}
+        for j, members in enumerate(self.entry_inputs):
+            for k in members:
+                self.consumers.setdefault(k, []).append(j)
 
     @property
     def n(self) -> int:
@@ -58,41 +68,56 @@ class SelectionProblem:
 
     def closure(self, observed: set[int]) -> set[int]:
         """True computability fixpoint from a set of observed statistics."""
-        computable = set(observed) & set(self.observable)
-        # index CSS entries by the inputs they wait on
-        waiting: dict[int, list[int]] = {}
-        remaining: dict[int, int] = {}
-        for j, entry in enumerate(self.entries):
-            missing = [k for k in set(entry.inputs) if k not in computable]
-            remaining[j] = len(missing)
-            for k in missing:
-                waiting.setdefault(k, []).append(j)
-        frontier = list(computable)
-        ready = [
-            j for j, entry in enumerate(self.entries)
-            if remaining[j] == 0 and entry.target not in computable
-        ]
-        while frontier or ready:
-            for j in ready:
-                target = self.entries[j].target
-                if target not in computable:
-                    computable.add(target)
-                    frontier.append(target)
-            ready = []
-            while frontier:
-                k = frontier.pop()
-                for j in waiting.get(k, []):
-                    remaining[j] -= 1
-                    if remaining[j] == 0:
-                        if self.entries[j].target not in computable:
-                            ready.append(j)
-        return computable
+        state = Closure(self)
+        state.add(set(observed) & self.observable)
+        return state.computable
 
     def is_sufficient(self, observed: set[int]) -> bool:
         return set(self.required) <= self.closure(observed)
 
     def total_cost(self, observed: set[int]) -> float:
         return sum(self.costs[i] for i in observed)
+
+
+class Closure:
+    """The computability fixpoint of a problem, grown incrementally.
+
+    ``add`` marks statistics computable and fires every CSS whose inputs
+    have all become computable, via per-entry remaining-input counters.
+    The closure is a least fixpoint, so growing it step by step ends at
+    exactly the set one pass over the union of the steps would reach.
+    """
+
+    def __init__(self, problem: SelectionProblem):
+        self._entries = problem.entries
+        self._consumers = problem.consumers
+        self._remaining = [len(members) for members in problem.entry_inputs]
+        self.computable: set[int] = set()
+        self.add(
+            entry.target
+            for entry, left in zip(self._entries, self._remaining)
+            if left == 0
+        )
+
+    def add(self, stats) -> int:
+        """Mark ``stats`` computable; returns how many statistics joined."""
+        computable = self.computable
+        before = len(computable)
+        frontier = []
+        for k in stats:
+            if k not in computable:
+                computable.add(k)
+                frontier.append(k)
+        remaining = self._remaining
+        while frontier:
+            for j in self._consumers.get(frontier.pop(), ()):
+                remaining[j] -= 1
+                if remaining[j] == 0:
+                    target = self._entries[j].target
+                    if target not in computable:
+                        computable.add(target)
+                        frontier.append(target)
+        return len(computable) - before
 
 
 @dataclass

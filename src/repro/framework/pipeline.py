@@ -262,6 +262,10 @@ class StatisticsPipeline:
         self.sketch_spec = SketchSpec(**kwargs)
         self.analysis = analyze(self.workflow)
         self.catalog = generate_css(self.analysis, self.generator_options)
+        # identification of the last executed trees, (trees, analysis,
+        # catalog), seeded with the initial plan: while the executed trees
+        # repeat, run_once reuses both (neither is mutated once built)
+        self._identified = ({}, self.analysis, self.catalog)
         self._se_sizes: dict = {}
         # shared across run_once calls: warm cycles skip plan lowering,
         # and plan changes/schema drift key/evict entries as needed
@@ -341,7 +345,10 @@ class StatisticsPipeline:
         Because observability is a property of the *executed* plan, the
         whole identification stage (SEs -> CSSs -> selection) is re-derived
         against the overridden plans, exactly as the paper's cycle repeats
-        from the currently-best plan.
+        from the currently-best plan.  SEs and CSSs depend on nothing but
+        the trees, so when they equal the previous cycle's the previous
+        analysis and CSS catalog are reused (the report shares that
+        catalog with earlier reports: treat it as read-only).
 
         Resilience knobs (all optional): ``faults`` injects a
         :class:`~repro.engine.faults.FaultPlan`, ``retry`` sets the
@@ -436,14 +443,20 @@ class StatisticsPipeline:
 
         t0 = clock()
         with tr.span("enumerate") as enum_span:
-            if trees:
-                analysis = with_plans(self.analysis, trees)
-                catalog = generate_css(analysis, self.generator_options)
-            else:
-                analysis, catalog = self.analysis, self.catalog
+            executed = dict(trees or {})
+            reused = executed == self._identified[0]
+            if not reused:
+                analysis = with_plans(self.analysis, executed)
+                self._identified = (
+                    executed,
+                    analysis,
+                    generate_css(analysis, self.generator_options),
+                )
+            _, analysis, catalog = self._identified
             if tracer is not None:
                 counts = catalog.counts()
                 enum_span.annotate(
+                    reused=reused,
                     blocks=len(analysis.blocks),
                     statistics=counts["statistics"],
                     css=counts["css"],
@@ -480,6 +493,7 @@ class StatisticsPipeline:
             ]
             sel_span.annotate(
                 method=selection.method,
+                iterations=selection.iterations,
                 observed=len(selection.observed_indexes),
                 cost=selection.total_cost,
                 tapped=len(tapped),

@@ -39,7 +39,10 @@ def _span_suffix(span: Span) -> str:
     outcome = span.attrs.get("outcome")
     if outcome is not None and outcome != "ok":
         parts.append(f"outcome={outcome}")
-    for key in ("method", "observed", "catalog_hits", "refreshed", "drifted"):
+    for key in (
+        "reused", "method", "iterations", "observed", "catalog_hits",
+        "refreshed", "drifted",
+    ):
         value = span.attrs.get(key)
         if value not in (None, 0, ""):
             parts.append(f"{key}={value}")

@@ -53,6 +53,8 @@ class TestTracedRun:
         assert phases == ["enumerate", "selection", "execution", "optimization"]
 
         enum = root.first(name="enumerate")
+        # the initial plan was identified when the pipeline was built
+        assert enum.attrs["reused"] is True
         assert enum.attrs["blocks"] == len(report.analysis.blocks)
         assert enum.attrs["statistics"] > 0
         assert enum.attrs["css"] > 0
@@ -60,6 +62,7 @@ class TestTracedRun:
 
         sel = root.first(name="selection")
         assert sel.attrs["method"] == report.selection.method
+        assert sel.attrs["iterations"] == report.selection.iterations
         assert sel.attrs["observed"] == len(report.selection.observed_indexes)
         assert sel.attrs["cost"] == report.selection.total_cost
         assert sel.attrs["tapped"] == len(report.tapped)

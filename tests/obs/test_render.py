@@ -41,6 +41,19 @@ class TestRenderTree:
         # operator points carry no duration; outcome=ok is elided
         assert lines[2] == "    operator:SE(R1)  [rows=7, est=5, tapped]"
 
+    def test_identification_annotations_rendered(self):
+        root = _closed("run", "run", 0.0, 1.0)
+        root.children.append(_closed("enumerate", "phase", 0.0, 0.0, reused=True))
+        root.children.append(
+            _closed("selection", "phase", 0.0, 0.1, method="greedy", iterations=11)
+        )
+        lines = render_tree(root).splitlines()
+        # a ~0 ms enumerate phase says why: the identification was reused
+        assert lines[1] == "  phase:enumerate 0.0ms  [reused=True]"
+        assert lines[2] == "  phase:selection 100.0ms  [method=greedy, iterations=11]"
+        fresh = _closed("enumerate", "phase", 0.0, 0.3, reused=False)
+        assert render_tree(fresh) == "phase:enumerate 300.0ms"
+
     def test_open_span_has_no_duration(self):
         root = Span("run", kind="run")
         assert render_tree(root) == "run:run"
