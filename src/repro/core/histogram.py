@@ -22,6 +22,13 @@ operation              paper usage
 Buckets with zero frequency are never stored; histograms are immutable from
 the caller's perspective (all operations return new objects).
 
+Every observed histogram is built by one group-count kernel,
+:meth:`Histogram.from_rows`: a single ``collections.Counter`` pass over
+the value tuples or whole columns (its counting loop runs in C), adopted
+through the trusted :meth:`Histogram.wrap` constructor.  Equal values of
+different types (``1``, ``1.0``, ``True``) share one bucket whose key is
+the first value seen, exactly as a per-row dictionary update keeps it.
+
 Bucketized (approximate) histograms -- the Section 8.1 future-work extension
 -- live in :mod:`repro.core.bucketized`.
 """
@@ -31,6 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class HistogramError(ValueError):
@@ -39,6 +47,17 @@ class HistogramError(ValueError):
 
 def _as_tuple(key) -> tuple:
     return key if isinstance(key, tuple) else (key,)
+
+
+def _check_attrs(attrs: tuple) -> None:
+    if not attrs:
+        raise HistogramError("a histogram needs at least one attribute")
+    if tuple(sorted(attrs)) != tuple(attrs):
+        raise HistogramError(
+            f"attributes must be in canonical sorted order, got {attrs}"
+        )
+    if len(set(attrs)) != len(attrs):
+        raise HistogramError(f"duplicate attributes: {attrs}")
 
 
 @dataclass(frozen=True)
@@ -53,14 +72,7 @@ class Histogram:
     counts: Mapping[tuple, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.attrs:
-            raise HistogramError("a histogram needs at least one attribute")
-        if tuple(sorted(self.attrs)) != tuple(self.attrs):
-            raise HistogramError(
-                f"attributes must be in canonical sorted order, got {self.attrs}"
-            )
-        if len(set(self.attrs)) != len(self.attrs):
-            raise HistogramError(f"duplicate attributes: {self.attrs}")
+        _check_attrs(self.attrs)
         cleaned = {
             _as_tuple(k): v for k, v in dict(self.counts).items() if v != 0
         }
@@ -75,20 +87,63 @@ class Histogram:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_rows(cls, attrs: Sequence[str], rows: Iterable[tuple]) -> "Histogram":
-        """Build a histogram by scanning value tuples aligned with ``attrs``.
+    def from_rows(
+        cls,
+        attrs: Sequence[str],
+        rows: Iterable[tuple] | Mapping[str, Sequence],
+    ) -> "Histogram":
+        """Group-count value tuples into an exact histogram, in one C pass.
 
-        ``attrs`` may arrive in any order; both attributes and row values are
-        permuted into canonical order.
+        ``rows`` yields tuples aligned with ``attrs`` (``Table.rows`` does;
+        a bare scalar row raises :class:`HistogramError`), or is a mapping of whole columns by attribute (the taps' column
+        batches; extra columns are ignored).  ``attrs`` may arrive in any
+        order; tuple rows are then permuted into canonical order on the
+        way in.  The counting itself is ``collections.Counter``, whose loop
+        runs in C -- over bare values for a single column, which skips
+        hashing a 1-tuple per row -- and a bucket's key is the first value
+        seen among equal ones (``1`` before ``1.0`` keeps ``1``).  A
+        counter yields no zero counts and only keys of the right width, so
+        the result is adopted through :meth:`wrap` without the per-bucket
+        re-check of the public constructor.
         """
         attrs = tuple(attrs)
-        order = sorted(range(len(attrs)), key=lambda i: attrs[i])
+        order = sorted(range(len(attrs)), key=attrs.__getitem__)
         canonical = tuple(attrs[i] for i in order)
-        counter: Counter = Counter()
-        for row in rows:
-            row = _as_tuple(row)
-            counter[tuple(row[i] for i in order)] += 1
-        return cls(canonical, dict(counter))
+        if isinstance(rows, Mapping):
+            if len(canonical) == 1:
+                counts = Counter(rows[canonical[0]])
+                return cls.wrap(canonical, {(v,): n for v, n in counts.items()})
+            rows = zip(*(rows[a] for a in canonical))
+        elif canonical != attrs:
+            # two or more attributes here, so itemgetter returns tuples
+            rows = map(itemgetter(*order), rows)
+        counts = dict(Counter(rows))
+        # wrap() trusts the keys; checking the first one catches bare
+        # scalar rows and misaligned widths in O(1)
+        for first in counts:
+            if not isinstance(first, tuple) or len(first) != len(canonical):
+                raise HistogramError(
+                    f"rows must be tuples of {len(canonical)} values aligned "
+                    f"with {attrs}, got {first!r}"
+                )
+            break
+        return cls.wrap(canonical, counts)
+
+    @classmethod
+    def wrap(cls, attrs: tuple[str, ...], counts: dict) -> "Histogram":
+        """Trusted constructor: adopt ``counts`` without a per-bucket pass.
+
+        For the engine's own counters, in the spirit of ``Table.wrap``:
+        ``counts`` must map tuples of ``len(attrs)`` values to non-zero
+        frequencies, and the caller must not mutate it afterwards.  Only
+        ``attrs`` is validated; the public constructor also normalizes
+        every key and drops zero buckets.
+        """
+        _check_attrs(attrs)
+        hist = cls.__new__(cls)
+        object.__setattr__(hist, "attrs", attrs)
+        object.__setattr__(hist, "counts", counts)
+        return hist
 
     @classmethod
     def single(cls, attr: str, counts: Mapping) -> "Histogram":

@@ -70,7 +70,11 @@ def _col(cols: dict, attr: str):
 
 
 def _concat(parts: "list[Batch]") -> "Batch":
-    """Concatenate batches; a single batch passes through untouched."""
+    """Concatenate batches; a single batch passes through untouched.
+
+    Gathered columns may be object ndarrays: ``tolist`` converts one in
+    C, where ``list(col)`` would box every element through numpy.
+    """
     if len(parts) == 1:
         return parts[0]
     first = parts[0][0]
@@ -80,7 +84,7 @@ def _concat(parts: "list[Batch]") -> "Batch":
         n += cn
         for a, acc in out.items():
             col = cols[a]
-            acc.extend(col if isinstance(col, list) else list(col))
+            acc.extend(col if isinstance(col, list) else col.tolist())
     return out, n
 
 
@@ -125,8 +129,9 @@ class ObservationBuffer:
         self.additive = bool(getattr(ctx.taps, "additive", False))
         self.counts: dict[AnySE, int] = {}
         self._attr_cache: dict[AnySE, tuple] = {}
-        #: non-additive (replace) taps buffer value columns until flush
-        self._pending: dict[AnySE, dict[str, list]] = {}
+        #: non-additive (replace) taps buffer value-column batches until
+        #: flush, uncopied; a point fed several batches concatenates once
+        self._pending: dict[AnySE, list["Batch"]] = {}
         self._rejects: list[RejectSE] = []
         tracer = ctx.tracer
         self.tracing = tracer is not None and tracer.enabled
@@ -161,10 +166,7 @@ class ObservationBuffer:
         if self.additive:
             self.taps.observe_columns(se, n, columns)
         elif columns:
-            pending = self._pending.setdefault(se, {})
-            for attr, col in columns.items():
-                acc = pending.setdefault(attr, [])
-                acc.extend(col if isinstance(col, list) else list(col))
+            self._pending.setdefault(se, []).append((columns, n))
 
     def add(self, se: AnySE, n: int, cols: dict) -> None:
         attrs = self.value_attrs(se)
@@ -224,7 +226,9 @@ class ObservationBuffer:
         else:
             for se, n in self.counts.items():
                 if self.taps.wants(se):
-                    self.taps.observe_columns(se, n, self._pending.get(se))
+                    batches = self._pending.get(se)
+                    columns = _concat(batches)[0] if batches else None
+                    self.taps.observe_columns(se, n, columns)
         if self.tracing:
             for se, n in self.counts.items():
                 ctx.trace_point(se, n, **self.builds.get(se, {}))

@@ -54,8 +54,10 @@ class ColumnarBackend(ExecutionBackend):
     def compiled_profile(self):
         from repro.engine.compile import CompiledProfile
 
-        # whole-column batches; the reference (pure Python) gather rung
-        return CompiledProfile(chunk_rows=None, gather="python")
+        # whole-column batches on the best available gather rung (the
+        # vectorized backend inherits this profile); the pure-Python rung
+        # remains for hosts without numpy
+        return CompiledProfile(chunk_rows=None, gather="auto")
 
     # ------------------------------------------------------------------
     def execute_block(self, block: Block, tree: PlanTree, ctx: RunContext) -> Table:

@@ -9,7 +9,8 @@ calls :meth:`TapSet.observe` whenever a tuple stream materializes at such a
 point.
 
 - cardinality  -> a counter (one integer);
-- histogram    -> an exact frequency histogram on the tapped attributes;
+- histogram    -> an exact frequency histogram on the tapped attributes,
+  counted whole-column by :meth:`Histogram.from_rows` (one C pass);
 - distinct     -> a distinct-value counter.
 
 Reject-link statistics are observable because the engine can always add an
@@ -215,10 +216,11 @@ class TapSet:
                     f"cannot observe {stat!r}: attributes {missing} are "
                     f"not live at {se!r} (have {tuple(columns)})"
                 )
-            rows = zip(*(columns[a] for a in stat.attrs))
             if stat.kind is StatKind.HISTOGRAM:
-                self.store.put(stat, Histogram.from_rows(tuple(stat.attrs), rows))
-            elif self.mergeable:
+                self.store.put(stat, Histogram.from_rows(stat.attrs, columns))
+                continue
+            rows = zip(*(columns[a] for a in stat.attrs))
+            if self.mergeable:
                 acc = self._distinct_values.setdefault(
                     stat, make_distinct_accumulator()
                 )

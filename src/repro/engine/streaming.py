@@ -23,7 +23,7 @@ the shared plan-walking core as :class:`StreamingBackend`.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Iterable, Iterator
 
 from repro.algebra.blocks import Block, Step
@@ -63,7 +63,7 @@ class StreamingTaps:
     def __init__(self, stats: Iterable[Statistic] = ()):
         self._by_se: dict[AnySE, list[Statistic]] = {}
         self._counters: dict[Statistic, int] = {}
-        self._hists: dict[Statistic, dict] = {}
+        self._hists: dict[Statistic, Counter] = {}
         #: stat -> accumulator (exact set or HLL sketch, per the factory)
         self._distinct: dict[Statistic, object] = {}
         self._streamed: set[AnySE] = set()
@@ -81,7 +81,7 @@ class StreamingTaps:
         if stat.kind is StatKind.CARDINALITY:
             self._counters[stat] = 0
         elif stat.kind is StatKind.HISTOGRAM:
-            self._hists[stat] = defaultdict(int)
+            self._hists[stat] = Counter()
         else:
             self._distinct[stat] = make_distinct_accumulator()
 
@@ -154,9 +154,9 @@ class StreamingTaps:
                 )
             rows = zip(*(columns[a] for a in stat.attrs))
             if stat.kind is StatKind.HISTOGRAM:
-                buckets = self._hists[stat]
-                for value in rows:
-                    buckets[value] += 1
+                # Counter.update counts an iterable in C; like the per-row
+                # += it keeps the first-seen key of equal values
+                self._hists[stat].update(rows)
             else:
                 self._distinct[stat].update(rows)
 
@@ -167,7 +167,7 @@ class StreamingTaps:
                 store.put(stat, count)
         for stat, buckets in self._hists.items():
             if stat.se in self._streamed:
-                store.put(stat, Histogram(stat.attrs, dict(buckets)))
+                store.put(stat, Histogram.wrap(stat.attrs, dict(buckets)))
         for stat, values in self._distinct.items():
             if stat.se in self._streamed:
                 store.put(stat, values.result())
@@ -189,9 +189,7 @@ class StreamingTaps:
         for stat, count in other._counters.items():
             self._counters[stat] = self._counters.get(stat, 0) + count
         for stat, buckets in other._hists.items():
-            mine_hist = self._hists.setdefault(stat, defaultdict(int))
-            for value, freq in buckets.items():
-                mine_hist[value] += freq
+            self._hists.setdefault(stat, Counter()).update(buckets)
         for stat, acc in other._distinct.items():
             mine_acc = self._distinct.get(stat)
             if mine_acc is None:

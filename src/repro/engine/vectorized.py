@@ -279,9 +279,3 @@ class VectorizedBackend(ColumnarBackend):
 
     def make_kernels(self) -> VectorizedKernels:
         return VectorizedKernels()
-
-    def compiled_profile(self):
-        from repro.engine.compile import CompiledProfile
-
-        # whole-column batches on the best available gather rung
-        return CompiledProfile(chunk_rows=None, gather="auto")

@@ -7,6 +7,8 @@ cache behaviour: warm runs hit, plan changes miss, schema drift and
 contract changes invalidate instead of silently reusing stale programs.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.algebra.blocks import analyze
@@ -15,6 +17,7 @@ from repro.core.costs import CostModel
 from repro.core.generator import generate_css
 from repro.core.greedy import solve_greedy
 from repro.core.selection import build_problem
+from repro.core.statistics import Statistic
 from repro.engine.backend import BackendExecutor, get_backend
 from repro.engine.compile import (
     ChainIR,
@@ -25,6 +28,7 @@ from repro.engine.compile import (
     compile_blocks,
     lower_block,
 )
+from repro.engine.executor import ColumnarBackend
 from repro.engine.instrumentation import TapSet
 from repro.engine.streaming import StreamingBackend, StreamingTaps
 from repro.engine.table import Table
@@ -248,6 +252,67 @@ class TestCompiledEquivalence:
         )
         _assert_equal_runs(run, ref, selection, "python-rung")
 
+    def test_columnar_profile_takes_the_best_rung(self):
+        profile = ColumnarBackend().compiled_profile()
+        assert profile.gather == "auto" and profile.chunk_rows is None
+
+    @pytest.mark.parametrize("name", ["wf20", "wf23", "wf25", "floating"])
+    def test_whole_batch_python_rung_matches_auto(self, name):
+        # no backend pins the pure-Python rung any more; on whole batches
+        # it still has to agree with the columnar profile's numpy rung
+        if name == "floating":
+            # a pinned join whose reject link carries rows, every value
+            # of it tapped
+            analysis, sources = _floating_workflow()
+            probe = BackendExecutor(analysis, "columnar").run(sources)
+            observed = [
+                Statistic.hist(rej, a)
+                for rej, table in probe.rejects.items()
+                for a in table.attrs
+            ]
+            chosen = solve_greedy(
+                build_problem(
+                    generate_css(analysis), CostModel(analysis.workflow.catalog)
+                )
+            )
+            selection = SimpleNamespace(observed=chosen.observed + observed)
+            assert any(t.num_rows for t in probe.rejects.values())
+        else:
+            analysis, selection, sources = _setup(int(name[2:]))
+
+        class PinnedPython(ColumnarBackend):
+            def compiled_profile(self):
+                return CompiledProfile(chunk_rows=None, gather="python")
+
+        rb = get_backend("columnar")
+        ref = BackendExecutor(analysis, rb, compile_plans=True).run(
+            sources, taps=rb.make_taps(selection.observed)
+        )
+        b = PinnedPython()
+        run = BackendExecutor(analysis, b, compile_plans=True).run(
+            sources, taps=b.make_taps(selection.observed)
+        )
+        _assert_equal_runs(run, ref, selection, f"{name} python-rung")
+
+    def test_chunked_replace_mode_taps_concatenate_batches(self):
+        # table-level (replace) taps buffer every batch of a point and
+        # observe their concatenation once
+        analysis, selection, sources = _setup(21)
+
+        class ChunkedColumnar(ColumnarBackend):
+            def compiled_profile(self):
+                return CompiledProfile(chunk_rows=100, gather="auto")
+
+        rb = get_backend("columnar")
+        ref = BackendExecutor(analysis, rb, compile_plans=False).run(
+            sources, taps=rb.make_taps(selection.observed)
+        )
+        b = ChunkedColumnar()
+        run = BackendExecutor(analysis, b, compile_plans=True).run(
+            sources, taps=b.make_taps(selection.observed)
+        )
+        _assert_equal_runs(run, ref, selection, "chunked replace-mode")
+
     def test_repro_compile_env_disables_compilation(self, monkeypatch):
         analysis, _, sources = _setup(1)
         monkeypatch.setenv("REPRO_COMPILE", "0")
@@ -463,6 +528,18 @@ class TestObserveColumns:
         want = by_rows.collect()
         for stat in stats:
             assert got.get(stat) == want.get(stat)
+
+    def test_batches_concatenate_once_and_flatten_gathered_columns(self):
+        np = pytest.importorskip("numpy")
+        from repro.engine.compile.runtime import _concat
+
+        gathered = np.empty(2, dtype=object)
+        gathered[:] = [7, "x"]
+        one = ({"a": gathered}, 2)
+        assert _concat([one]) is one  # a single batch is not copied
+        cols, n = _concat([({"a": [1, 2]}, 2), one, ({"a": []}, 0)])
+        assert (cols, n) == ({"a": [1, 2, 7, "x"]}, 4)
+        assert [type(v) for v in cols["a"]] == [int, int, int, str]
 
     def test_missing_attr_raises_like_interpreter(self):
         from repro.core.statistics import StatKind, Statistic
