@@ -9,14 +9,13 @@ observation night: every run executes wf21 (the suite's largest
 single-block workload, an 8-way join) with taps armed for the
 greedy-selected statistics, exactly what a nightly session runs.
 
-All engines run interpreted (``compile_plans=False``): sharding is an
-engine-vs-itself claim, and compilation is an orthogonal axis with its
-own bench (``bench_plan_compile``) -- the same scoping
-``bench_backend_throughput`` uses for its vectorized floor.  Measured per
-configuration:
+All engines run compiled: the shard workers execute the compiled
+columnar profile, so sharding is compared against that same profile run
+serially (compilation itself has its own bench, ``bench_plan_compile``).
+Measured per configuration:
 
-- rows/second for each single-process backend (columnar, streaming,
-  vectorized) at one data scale;
+- rows/second for each single-process backend (columnar, streaming) at
+  one data scale;
 - rows/second for the multiprocess backend at 1, 2 and 4 shards over a
   *warm* pool (the steady-state of a nightly session; the first run pays
   the fork + ping, later runs reuse the pool and the workers' plan
@@ -93,12 +92,12 @@ def _measured_parallelism(work=2_000_000, workers=4):
     return max(serial / parallel, 1.0)
 
 
-def _best_wall(run, repeats=REPEATS):
+def _best_wall(run):
     best = float("inf")
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             gc.collect()
             t0 = time.perf_counter()
             run()
@@ -152,12 +151,9 @@ def _measure():
     baseline = None
     for name in single_process_backends():
         backend = get_backend(name)
-        executor = BackendExecutor(analysis, backend, compile_plans=False)
-        # the per-tuple streaming engine is ~10x slower interpreted and
-        # only provides context here, not the baseline: measure it once
+        executor = BackendExecutor(analysis, backend)
         wall = _best_wall(
-            lambda: executor.run(sources, taps=backend.make_taps(stats)),
-            repeats=1 if name == "streaming" else REPEATS,
+            lambda: executor.run(sources, taps=backend.make_taps(stats))
         )
         if name == "columnar":
             baseline = wall
@@ -166,7 +162,7 @@ def _measure():
     for shards in SHARD_COUNTS:
         backend = MultiprocessBackend(shards=shards, inline=False)
         try:
-            executor = BackendExecutor(analysis, backend, compile_plans=False)
+            executor = BackendExecutor(analysis, backend)
             # pay the fork + pool ping once, outside the timed repeats
             executor.run(sources, taps=backend.make_taps(stats))
             wall = _best_wall(
@@ -187,7 +183,7 @@ def test_dist_throughput(benchmark, results_dir):
         results_dir,
         "dist_throughput",
         f"Sharded multiprocess throughput (wf{WORKFLOW}, instrumented "
-        "interpreted runs, warm pool; measured 4-way parallelism "
+        "compiled runs, warm pool; measured 4-way parallelism "
         f"{parallelism:.2f}x)",
         ["workload", "source rows", "backend", "shards", "best wall ms",
          "rows/s", "x columnar"],

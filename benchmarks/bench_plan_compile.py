@@ -5,15 +5,15 @@ IR, fuses select/project/transform chains into whole-column kernels, and
 caches the result under the workflow's structural signature.  This bench
 measures the three claims that justify it:
 
-- **fused vs interpreted**: source rows/second per backend on wf21 (the
-  8-way-join block) with compilation off, cold (compile included in the
-  wall), and warm (plan cache hit).  Shape to reproduce: the streaming
-  engine -- which pays per-tuple dict materialization in its interpreter
-  -- gains >= 5x from batched fused kernels; the vectorized engine,
-  already bulk, still gains >= 1.5x.
-- **amortization**: the one-time compile cost against the per-run saving,
-  i.e. how many runs until compilation has paid for itself (for every
-  backend here: less than one).
+- **fused vs interpreted**: source rows/second on wf21 (the 8-way-join
+  block) for the ``oracle`` columnar interpreter and for each compiled
+  profile, cold (compile included in the wall) and warm (plan cache
+  hit).  Shape to reproduce: the whole-column ``columnar`` profile runs
+  >= 5x faster than the interpreter it must match (about 12-18x on a
+  2-CPU box).
+- **amortization**: the one-time compile cost against the per-run saving
+  over the interpreter, i.e. how many runs until compilation has paid for
+  itself (for every profile here: less than one).
 - **cache**: the warm run reports zero misses -- recurring loads (the
   paper's premise: the same workflow re-runs nightly) never recompile.
 
@@ -28,13 +28,15 @@ import time
 from conftest import single_process_backends, write_report
 
 from repro.algebra.blocks import analyze
-from repro.engine.backend import BackendExecutor
+from repro.engine.backend import BackendExecutor, get_backend
 from repro.engine.compile import compile_blocks
 from repro.workloads import case
 
 WORKFLOW = 21  # largest single-block workload: 8-way join
 SCALE = 4.0
-REPEATS = 5  # best-of-N: the speedup floors must hold under box noise
+REPEATS = 5  # best-of-N: the speedup floor must hold under box noise
+#: compiled whole-column profile vs the oracle interpreter, warm
+COLUMNAR_FLOOR = 5.0
 
 
 def _best_wall(fn):
@@ -55,8 +57,7 @@ def _best_wall(fn):
 
 def _compile_time(analysis, backend_name):
     """Median one-shot compile wall for the backend's profile."""
-    backend = BackendExecutor(analysis, backend_name).backend
-    profile = backend.compiled_profile()
+    profile = get_backend(backend_name).compiled_profile()
     walls = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
@@ -73,20 +74,12 @@ def _measure():
 
     rows = []
     records = []
+    interp = _best_wall(lambda: BackendExecutor(analysis, "oracle").run(sources))
     for backend in single_process_backends():
-        interp = _best_wall(
-            lambda: BackendExecutor(
-                analysis, backend, compile_plans=False
-            ).run(sources)
-        )
         # cold: a fresh executor per run, so every wall pays compilation
-        cold = _best_wall(
-            lambda: BackendExecutor(
-                analysis, backend, compile_plans=True
-            ).run(sources)
-        )
+        cold = _best_wall(lambda: BackendExecutor(analysis, backend).run(sources))
         # warm: one executor, cache primed before timing
-        executor = BackendExecutor(analysis, backend, compile_plans=True)
+        executor = BackendExecutor(analysis, backend)
         executor.run(sources)
         warm = _best_wall(lambda: executor.run(sources))
         assert executor.plan_cache.misses == len(analysis.blocks)
@@ -132,7 +125,8 @@ def test_plan_compile(benchmark, results_dir):
     write_report(
         results_dir,
         "plan_compile",
-        f"Plan compilation: fused vs interpreted (wf{WORKFLOW} @ {SCALE:g})",
+        f"Plan compilation: fused vs the oracle interpreter "
+        f"(wf{WORKFLOW} @ {SCALE:g})",
         ["backend", "interp ms", "cold ms", "warm ms", "interp rows/s",
          "fused rows/s", "speedup", "compile ms", "runs to amortize"],
         rows,
@@ -142,11 +136,10 @@ def test_plan_compile(benchmark, results_dir):
     )
 
     by_backend = {r["backend"]: r for r in records}
-    # the issue's acceptance floors: batched fused kernels lift the
-    # per-tuple streaming engine >= 5x; the already-bulk vectorized
-    # kernels still gain >= 1.5x from fusion + gather engines
-    assert by_backend["streaming"]["speedup"] >= 5.0, by_backend["streaming"]
-    assert by_backend["vectorized"]["speedup"] >= 1.5, by_backend["vectorized"]
+    # fused whole-column kernels beat the interpreter they must match
+    assert by_backend["columnar"]["speedup"] >= COLUMNAR_FLOOR, (
+        by_backend["columnar"]
+    )
     # compilation itself is cheap: it pays for itself within a single run
     for r in records:
         assert r["runs_to_amortize"] < 1.0, r

@@ -50,11 +50,15 @@ def single_process_backends() -> list[str]:
 
     The multiprocess backend is deliberately excluded: it forks a worker
     pool per configuration (skewing in-process overhead measurements) and
-    has its own dedicated scaling bench, ``bench_dist_throughput``.
+    has its own dedicated scaling bench, ``bench_dist_throughput``.  So is
+    the ``oracle`` interpreter, a test reference rather than an engine;
+    the benches that time compilation compare against it explicitly.
     """
     from repro.engine.backend import available_backends
 
-    return [b for b in available_backends() if b != "multiprocess"]
+    return [
+        b for b in available_backends() if b not in ("multiprocess", "oracle")
+    ]
 
 
 def write_report(results_dir: Path, name: str, title: str,

@@ -8,8 +8,8 @@ console script):
 - ``identify <workflow.json|.xml>`` -- run statistics identification
   (Algorithm 1 + the Section 5 selection) and print the chosen set;
 - ``run --number N`` -- execute a suite workflow end to end on a chosen
-  execution backend (``--backend columnar|streaming|vectorized|
-  multiprocess``, ``--workers W`` for the parallel block scheduler,
+  execution backend (``--backend columnar|streaming|multiprocess``,
+  ``--workers W`` for the parallel block scheduler,
   ``--shards K`` for multi-process row sharding, which implies the
   multiprocess backend) and print the observe-and-optimize report.  Resilience flags: ``--faults spec.json``
   injects a deterministic chaos plan, ``--max-retries N`` and
@@ -252,7 +252,6 @@ def _cmd_run(args) -> int:
         backend=args.backend,
         workers=args.workers,
         shards=args.shards,
-        compile=False if args.no_compile else None,
         distinct_sketch=args.distinct_sketch,
         sketch_precision=args.sketch_precision,
     )
@@ -703,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--number", type=int, required=True)
     p.add_argument(
         "--backend",
-        choices=available_backends(),
+        # the oracle interpreter is a test reference, not an engine to run
+        choices=[b for b in available_backends() if b != "oracle"],
         default="columnar",
         help="execution backend for the instrumented run",
     )
@@ -733,11 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="row shards per block for the multiprocess backend "
         "(implies --backend multiprocess)",
-    )
-    p.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="skip plan compilation and run the backend's interpreter",
     )
     p.add_argument("--scale", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=7)

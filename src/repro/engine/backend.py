@@ -1,29 +1,33 @@
-"""Pluggable execution backends: one plan-walking core, many kernel sets.
+"""Execution backends: one plan-walking core, one compiled engine.
 
 The paper treats the ETL engine as a swappable component with fixed
 observation points (Sections 3.2.5-3.2.6): the optimization framework only
 needs *some* engine that executes the analyzed plan and fires the taps at
 every plan point.  This module makes that explicit.  An
-:class:`ExecutionBackend` owns
+:class:`ExecutionBackend` names
 
-- the **physical operator kernels** (:class:`Kernels`): filter/transform/
-  project steps, hash join, group-by, blocking UDFs;
-- the **block execution strategy**: materialized column-at-a-time
-  (columnar, vectorized) or per-tuple pipelined (streaming);
+- a **compiled profile** (:meth:`ExecutionBackend.compiled_profile`): how
+  the plan-compilation layer executes its blocks -- whole-column batches
+  (columnar) or bounded row chunks (streaming);
 - the **instrumentation style**: table-level taps
-  (:class:`~repro.engine.instrumentation.TapSet`) or per-tuple accumulators
+  (:class:`~repro.engine.instrumentation.TapSet`) or additive accumulators
   (:class:`~repro.engine.streaming.StreamingTaps`).
 
-:class:`BackendExecutor` is the shared plan-walking core that used to be
-duplicated between the columnar and streaming executors: it checks the
+A backend whose profile is ``None`` runs its own :meth:`execute_block`
+instead.  The one built-in such backend is ``"oracle"``: the columnar
+interpreter over the reference kernels of :mod:`repro.engine.physical`,
+kept as the differential-test oracle every compiled run must match.
+
+:class:`BackendExecutor` is the shared plan-walking core: it checks the
 sources, turns blocks and boundaries into dependency tasks, runs them
 through a :class:`~repro.engine.scheduler.ParallelScheduler` (serially by
 default, concurrently with ``workers > 1``), applies boundary operators,
 and collects the observations.
 
 Backends register by name; :func:`get_backend` resolves ``"columnar"``,
-``"streaming"`` and ``"vectorized"`` lazily so the framework, the CLI and
-the benchmarks can thread a backend choice around as a plain string.
+``"streaming"``, ``"multiprocess"`` and ``"oracle"`` lazily so the
+framework, the CLI and the benchmarks can thread a backend choice around
+as a plain string.
 """
 
 from __future__ import annotations
@@ -98,32 +102,13 @@ class WorkflowRun:
         return sorted(name for name in self.failures if name in block_names)
 
 
-class Kernels:
-    """Physical operator namespace a backend executes with.
-
-    The base set is the row-at-a-time reference implementation from
-    :mod:`repro.engine.physical`; the vectorized backend substitutes
-    column-at-a-time kernels with the same signatures and semantics.
-    A fresh instance is created per run (:meth:`ExecutionBackend
-    .make_kernels`) so kernels may keep run-scoped state such as join
-    build caches.
-    """
-
-    name = "reference"
-
-    apply_step = staticmethod(physical.apply_step)
-    hash_join = staticmethod(physical.hash_join)
-    group_by = staticmethod(physical.group_by)
-    apply_aggregate_udf = staticmethod(physical.apply_aggregate_udf)
-
-
 @dataclass
 class RunContext:
     """Per-run state shared by the core and the backend's block executor.
 
     ``lock`` serializes writes to the run-wide mutable maps when blocks
     execute on scheduler threads; ``state`` is backend scratch space
-    (e.g. the streaming backend's claimed observation points).
+    (e.g. the shared raw points additive taps have already claimed).
 
     ``tracer`` (optional) records an instant *operator point* for every
     plan point a block materializes -- actual rows, the prior estimate
@@ -134,7 +119,6 @@ class RunContext:
 
     run: WorkflowRun
     taps: Any
-    kernels: Kernels
     lock: threading.Lock = field(default_factory=threading.Lock)
     state: dict = field(default_factory=dict)
     tracer: Any = None
@@ -172,25 +156,12 @@ class RunContext:
             attrs["tapped"] = True
         self.tracer.point(repr(se), kind="operator", **attrs)
 
-    def trace_sizes(self, sizes: "dict[AnySE, int]") -> None:
-        """Operator points for backends that record sizes in bulk
-        (the streaming backend accumulates per-tuple counters and
-        publishes them once per block)."""
-        if self.tracer is None or not self.tracer.enabled:
-            return
-        for se, rows in sizes.items():
-            self.trace_point(se, rows)
-
 
 class ExecutionBackend:
     """The protocol every execution backend implements."""
 
     #: registry key; also used for per-backend cost-model constants
     name: str = "abstract"
-
-    def make_kernels(self) -> Kernels:
-        """Fresh per-run kernel set (may carry run-scoped caches)."""
-        return Kernels()
 
     def make_taps(self, stats: Iterable = ()):
         """Instrumentation object compatible with this backend."""
@@ -201,7 +172,6 @@ class ExecutionBackend:
         analysis: BlockAnalysis,
         sources: dict[str, Table],
         taps,
-        compile_plans: bool,
     ) -> None:
         """Run-start hook, fired after source faults and before screening.
 
@@ -227,8 +197,8 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def observe_boundary(self, ctx: RunContext, se: SubExpression, table: Table) -> None:
-        """Fire taps for a boundary output (no-op for per-tuple backends,
-        whose downstream block streams already observe the same point)."""
+        """Fire taps for a boundary output (no-op for additive taps, whose
+        downstream block's raw feed already observes the same point)."""
         ctx.note(se, table)
 
     def collect(self, taps) -> StatisticsStore:
@@ -239,8 +209,8 @@ class ExecutionBackend:
         """Execution profile for compiled plans, or ``None`` to opt out.
 
         Backends that return ``None`` (the default, so third-party
-        backends are unaffected) always execute through their own
-        :meth:`execute_block` interpreter.
+        backends are unaffected; and the ``"oracle"`` backend) always
+        execute through their own :meth:`execute_block`.
         """
         return None
 
@@ -259,7 +229,6 @@ class BackendExecutor:
         backend: "ExecutionBackend | str | None" = None,
         workers: int = 1,
         *,
-        compile_plans: "bool | None" = None,
         plan_cache=None,
     ):
         self.analysis = analysis
@@ -269,18 +238,9 @@ class BackendExecutor:
             backend = get_backend(backend)
         self.backend = backend
         self.workers = max(int(workers), 1)
-        #: None defers to the process default (``REPRO_COMPILE``)
-        self.compile_plans = compile_plans
         #: created lazily on the first compiled run when not injected, so
         #: a long-lived executor gets warm-cache behaviour for free
         self.plan_cache = plan_cache
-
-    def _compile_enabled(self) -> bool:
-        if self.compile_plans is not None:
-            return bool(self.compile_plans)
-        from repro.engine.compile import compile_enabled_default
-
-        return compile_enabled_default()
 
     def run(
         self,
@@ -341,9 +301,7 @@ class BackendExecutor:
         injector = as_injector(faults)
         if injector is not None:
             sources = injector.apply_sources(sources)
-        self.backend.begin_run(
-            self.analysis, sources, taps, self._compile_enabled()
-        )
+        self.backend.begin_run(self.analysis, sources, taps)
         if quality is not None:
             sources = self.backend.screen_sources(
                 quality, sources, tracer=tracer, trace_parent=trace_parent
@@ -357,7 +315,6 @@ class BackendExecutor:
         ctx = RunContext(
             run=run,
             taps=taps,
-            kernels=self.backend.make_kernels(),
             tracer=tracer,
             estimates=estimates,
             injector=injector,
@@ -455,10 +412,8 @@ class BackendExecutor:
 
     # ------------------------------------------------------------------
     def _compile(self, run, trees, quality, tracer, trace_parent):
-        """Compile every block (cached) unless compilation is off or the
-        backend opts out; returns ``(plan, profile, gather engine)``."""
-        if not self._compile_enabled():
-            return None, None, None
+        """Compile every block (cached) unless the backend opts out;
+        returns ``(plan, profile, gather engine)``."""
         profile = self.backend.compiled_profile()
         if profile is None:
             return None, None, None
@@ -530,11 +485,10 @@ class BackendExecutor:
         if isinstance(node, Target):
             run.targets[node.name] = table
             return
-        kernels = ctx.kernels
         if isinstance(node, Aggregate):
-            out = kernels.group_by(table, node.group_attrs, node.aggregates)
+            out = physical.group_by(table, node.group_attrs, node.aggregates)
         elif isinstance(node, AggregateUDF):
-            out = kernels.apply_aggregate_udf(table, node.fn)
+            out = physical.apply_aggregate_udf(table, node.fn)
         elif isinstance(node, Materialize):
             out = table
         else:  # pragma: no cover - analysis emits only these
@@ -591,10 +545,10 @@ def _builtin_factories() -> None:
         from repro.engine.streaming import StreamingBackend
 
         register_backend("streaming", StreamingBackend)
-    if "vectorized" not in _REGISTRY:
-        from repro.engine.vectorized import VectorizedBackend
+    if "oracle" not in _REGISTRY:
+        from repro.engine.executor import OracleBackend
 
-        register_backend("vectorized", VectorizedBackend)
+        register_backend("oracle", OracleBackend)
     if "multiprocess" not in _REGISTRY:
         from repro.engine.dist import MultiprocessBackend
 

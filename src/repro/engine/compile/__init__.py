@@ -1,20 +1,16 @@
 """Plan compilation: lowering, fusion, and caching of physical plans.
 
-The interpreters in :mod:`repro.engine` re-walk the logical DAG on every
-run.  This package compiles each optimizable block once -- lowering the
+Every built-in single-process backend executes through this package (only
+the ``"oracle"`` backend re-walks the logical DAG with the columnar
+interpreter).  It compiles each optimizable block once -- lowering the
 algebra to a physical-operator IR, fusing unary-operator chains into
 whole-column kernels on a numba -> numpy -> pure-Python fallback ladder
 -- and caches the result keyed by :class:`~repro.catalog.signatures.
 WorkflowSigner` signatures, so warm runs skip compilation entirely.
 Schema-drift events and contract changes invalidate affected entries.
-
-``REPRO_COMPILE=0`` (or ``run --no-compile`` / ``compile=False``)
-disables the whole layer and falls back to the interpreters.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.engine.compile.accel import accel_backend, make_engine
 from repro.engine.compile.cache import PlanCache
@@ -38,14 +34,6 @@ from repro.engine.compile.runtime import (
     execute_compiled_block,
 )
 
-_OFF = {"0", "false", "off", "no"}
-
-
-def compile_enabled_default() -> bool:
-    """Process-wide default for plan compilation (``REPRO_COMPILE``)."""
-    return os.environ.get("REPRO_COMPILE", "1").strip().lower() not in _OFF
-
-
 __all__ = [
     "BlockProgram",
     "ChainIR",
@@ -60,7 +48,6 @@ __all__ = [
     "accel_backend",
     "block_source_deps",
     "compile_blocks",
-    "compile_enabled_default",
     "execute_compiled_block",
     "lower_block",
     "make_engine",

@@ -83,7 +83,6 @@ class PlanCache:
             "backend": backend,
             "chunk": profile.chunk_rows,
             "gather": profile.gather,
-            "canon": profile.canonical_output,
             "ctx": sorted(
                 [src, context_tokens[src]]
                 for src in sources

@@ -4,7 +4,7 @@ Lowering (:mod:`repro.engine.compile.lower`) turns one optimizable block's
 algebra -- stage chains, a join tree, floating operators, post-steps --
 into a small tree of IR nodes whose operator payloads are *pre-resolved*:
 predicate and UDF callables are looked up once at compile time, attribute
-tuples are frozen, and every observation point the interpreters would
+tuples are frozen, and every observation point the interpreter would
 fire (``ctx.note`` per plan point) is recorded on the node that produces
 it.  The runtime (:mod:`repro.engine.compile.runtime`) then walks this IR
 over column batches with zero per-row plan interpretation.
@@ -35,7 +35,7 @@ class FusedStep:
 
     ``se`` is the observation point *after* this step fires (a stage SE
     for chain/post steps), or ``None`` for floating operators, which the
-    interpreters never observe individually.
+    interpreter never observes individually.
     """
 
     kind: str  # "filter" | "transform" | "project"
@@ -116,15 +116,11 @@ class CompiledProfile:
     ``chunk_rows`` turns whole-column execution into batched execution
     over row chunks (the streaming backend's mode); ``gather`` picks the
     gather engine rung (``"auto"`` climbs the numba -> numpy -> Python
-    ladder, ``"python"`` pins the reference rung);
-    ``canonical_output`` reorders block outputs and reject tables to the
-    streaming interpreter's canonical (sorted) attribute order so the
-    compiled backend is column-order-identical to its interpreter.
+    ladder, ``"python"`` pins the reference rung).
     """
 
     chunk_rows: Optional[int] = None
     gather: str = "auto"  # "auto" | "python"
-    canonical_output: bool = False
 
 
 __all__ = [

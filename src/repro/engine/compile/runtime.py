@@ -1,25 +1,24 @@
 """Batched execution of compiled block programs.
 
 One :class:`CompiledBlockRunner` executes one lowered block over column
-*batches* -- a ``(columns dict, row count)`` pair.  Whole-column profiles
-(columnar, vectorized) run a single batch per input; the streaming
-profile slices inputs into row chunks, so joins probe and instrumentation
-accumulates incrementally just like the per-tuple interpreter, only a
-few thousand rows at a time.
+*batches* -- a ``(columns dict, row count)`` pair.  The whole-column
+profile (columnar) runs a single batch per input; the chunked profile
+(streaming) slices inputs into row chunks, so joins probe and
+instrumentation accumulates incrementally, a few thousand rows at a time.
 
-Equivalence with the interpreters is the contract here:
+Equivalence with the columnar interpreter (the ``"oracle"`` backend) is
+the contract here:
 
-- every plan point the interpreters note is recorded with the same row
+- every plan point the interpreter notes is recorded with the same row
   count, and every tap sees the same rows (the
   :class:`ObservationBuffer` speaks the taps' column-batch protocol:
   accumulate for additive/streaming taps, replace for table-level taps);
-- raw feed points are claim-guarded under additive taps exactly like the
-  streaming interpreter, so shared sources count once per run;
+- raw feed points are claim-guarded under additive taps, so a shared
+  source counts once per run;
 - sizes flush at block end and additive points are only marked streamed
   then, so a failed block's statistics read as *missing*, not zeros
   (faults fire at attempt start, before any accumulation);
-- reject links carry the same rows, and the streaming profile's
-  canonical column order.
+- reject links carry the same rows.
 
 The speed comes from never interpreting the plan per row: fused filter
 runs compose selection vectors and materialize survivors once, joins
@@ -192,11 +191,7 @@ class ObservationBuffer:
                 }
         self.record(se, n, columns)
 
-    def add_reject(
-        self, rej: RejectSE, cols: dict, attr_order: Optional[tuple]
-    ) -> None:
-        if attr_order is not None:
-            cols = {a: _col(cols, a) for a in attr_order}
+    def add_reject(self, rej: RejectSE, cols: dict) -> None:
         table = Table.wrap(
             {
                 a: (c if isinstance(c, list) else list(c))
@@ -261,12 +256,6 @@ class CompiledBlockRunner:
             cols, n = self._segment(cols, n, program.post, obs)
             parts.append((cols, n))
         out_cols, _ = _concat(parts)
-        if self.profile.canonical_output:
-            if self.block.post_steps:
-                order = tuple(self.block.post_steps[-1].out_attrs)
-            else:
-                order = tuple(self.block.se_attrs(program.root_se))
-            out_cols = {a: _col(out_cols, a) for a in order}
         table = Table.wrap(dict(out_cols))
         obs.flush()
         return table
@@ -442,12 +431,7 @@ class CompiledBlockRunner:
         sides = (build_rej, probe_rej) if flipped else (probe_rej, build_rej)
         for rej, cols in zip((jir.rej_left, jir.rej_right), sides):
             if cols is not None:
-                order = (
-                    tuple(self.block.se_attrs(rej.source))
-                    if self.profile.canonical_output
-                    else None
-                )
-                obs.add_reject(rej, cols, order)
+                obs.add_reject(rej, cols)
 
     def _probe(self, keys, build, unique, want_p, want_b, matched):
         """Probe the build dict with one batch's join keys.

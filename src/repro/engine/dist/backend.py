@@ -111,7 +111,6 @@ class MultiprocessBackend(ExecutionBackend):
         self._analysis: "BlockAnalysis | None" = None
         self._fork_env: dict[str, Table] = {}
         self._stats: tuple = ()
-        self._compile = False
         self._context_tokens: "dict | None" = None
         self._run_token = 0
         #: (table, ref, segment) triples kept alive until the next run:
@@ -135,7 +134,7 @@ class MultiprocessBackend(ExecutionBackend):
         # compiles against its own per-process PlanCache (see worker.py)
         return None
 
-    def begin_run(self, analysis, sources, taps, compile_plans) -> None:
+    def begin_run(self, analysis, sources, taps) -> None:
         with self._lock:
             self._run_token += 1
             self._drop_segments()
@@ -144,11 +143,9 @@ class MultiprocessBackend(ExecutionBackend):
                 self._pool is not None
                 and self._analysis is analysis
                 and self._stats == stats
-                and self._compile == bool(compile_plans)
             )
             self._analysis = analysis
             self._stats = stats
-            self._compile = bool(compile_plans)
             self._context_tokens = None
             if reusable:
                 # same workflow, warm pool: tables that changed since the
@@ -225,7 +222,6 @@ class MultiprocessBackend(ExecutionBackend):
                 analysis=self._analysis,
                 env=self._fork_env,
                 stats=self._stats,
-                compile_plans=self._compile,
             )
         )
         self._pool = ProcessPoolExecutor(
@@ -349,7 +345,6 @@ class MultiprocessBackend(ExecutionBackend):
                     analysis=self._analysis,
                     env=ctx.run.env,
                     stats=self._stats,
-                    compile_plans=self._compile,
                 )
                 for shard in pending:
                     try:
@@ -455,7 +450,8 @@ class MultiprocessBackend(ExecutionBackend):
                 ctx.taps.store.put(stat, value)
             ctx.run.se_sizes.update(sizes)
         if ctx.tracer is not None and ctx.tracer.enabled:
-            ctx.trace_sizes(sizes)
+            for se, rows in sizes.items():
+                ctx.trace_point(se, rows)
             for result in ordered:
                 ctx.tracer.point(
                     f"{block.name}#shard{result.shard}",

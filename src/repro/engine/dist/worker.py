@@ -2,9 +2,9 @@
 
 A worker executes **one shard of one block** per task: it slices its input
 tables according to the block's :class:`~repro.engine.dist.sharding
-.ShardPlan`, runs the ordinary columnar interpreter (or a compiled plan
-from a per-process :class:`~repro.engine.compile.PlanCache`) over the
-slice with a *mergeable* tap set, strips the observation points it is not
+.ShardPlan`, runs the block's compiled columnar program (from a
+per-process :class:`~repro.engine.compile.PlanCache`) over the slice with
+a *mergeable* tap set, strips the observation points it is not
 responsible for, and ships back a compact :class:`ShardResult` the parent
 folds together.
 
@@ -63,7 +63,6 @@ class WorkerState:
     analysis: BlockAnalysis
     env: dict[str, Table]
     stats: tuple
-    compile_plans: bool = False
 
 
 @dataclass
@@ -171,10 +170,9 @@ def _compiled_runner(state: WorkerState, block: Block, tree: PlanTree,
         cache=_PLAN_CACHE,
         context_tokens=context_tokens,
     )
-    program = compiled.get(block.name)
-    if program is None:
-        return None
-    return CompiledBlockRunner(program, block, profile, make_engine(profile.gather))
+    return CompiledBlockRunner(
+        compiled.get(block.name), block, profile, make_engine(profile.gather)
+    )
 
 
 def _shard_env(block: Block, plan: ShardPlan, shard: int,
@@ -232,17 +230,8 @@ def run_shard(payload: dict, state: "WorkerState | None" = None) -> ShardResult:
     env = _shard_env(block, plan, shard, payload.get("overrides", {}), state)
     taps = TapSet(state.stats, mergeable=True)
     run = WorkflowRun(env=env)
-    from repro.engine.executor import ColumnarBackend
-
-    backend = ColumnarBackend()
-    ctx = RunContext(run=run, taps=taps, kernels=backend.make_kernels())
-    runner = None
-    if state.compile_plans:
-        runner = _compiled_runner(state, block, tree, payload.get("context_tokens"))
-    if runner is not None:
-        out = runner.execute(ctx)
-    else:
-        out = backend.execute_block(block, tree, ctx)
+    runner = _compiled_runner(state, block, tree, payload.get("context_tokens"))
+    out = runner.execute(RunContext(run=run, taps=taps))
 
     # -- responsibility filter ------------------------------------------
     # Broadcast shards all compute the replicated points identically;

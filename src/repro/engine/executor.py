@@ -11,10 +11,13 @@ this is the passive monitoring signal (the LEO-style baseline) and the
 previous-run SE sizes the CPU cost metric needs (Section 5.4).
 
 The plan-walking core (scheduling blocks and boundaries over the analysis
-DAG) lives in :class:`~repro.engine.backend.BackendExecutor`;
-:class:`ColumnarBackend` supplies the materialized column-at-a-time block
-execution strategy, shared with the vectorized backend which only swaps
-the kernels.
+DAG) lives in :class:`~repro.engine.backend.BackendExecutor`.
+:class:`ColumnarBackend` runs every block compiled as whole-column
+batches; its :meth:`~ColumnarBackend.execute_block` is the engine's one
+interpreter, a materialized block walk over the reference kernels of
+:mod:`repro.engine.physical`.  :class:`OracleBackend` (``"oracle"``)
+always takes that interpreter, which makes it the differential-test
+oracle for every compiled profile.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.algebra.blocks import Block
 from repro.algebra.expressions import RejectSE, SubExpression
 from repro.algebra.plans import Leaf, PlanTree, leaves as _tree_leaves
 from repro.core.statistics import StatisticsStore
+from repro.engine import physical
 from repro.engine.backend import (
     BackendExecutor,
     ExecutionBackend,
@@ -35,6 +39,7 @@ from repro.engine.table import Table, TableError
 __all__ = [
     "ColumnarBackend",
     "Executor",
+    "OracleBackend",
     "WorkflowRun",
     "execute_workflow",
 ]
@@ -54,9 +59,8 @@ class ColumnarBackend(ExecutionBackend):
     def compiled_profile(self):
         from repro.engine.compile import CompiledProfile
 
-        # whole-column batches on the best available gather rung (the
-        # vectorized backend inherits this profile); the pure-Python rung
-        # remains for hosts without numpy
+        # whole-column batches on the best available gather rung; the
+        # pure-Python rung remains for hosts without numpy
         return CompiledProfile(chunk_rows=None, gather="auto")
 
     # ------------------------------------------------------------------
@@ -65,7 +69,6 @@ class ColumnarBackend(ExecutionBackend):
             raise TableError(
                 f"plan tree for {block.name} does not cover its inputs"
             )
-        kernels = ctx.kernels
         run, taps = ctx.run, ctx.taps
         inputs: dict[str, Table] = {}
         for name, inp in sorted(block.inputs.items()):
@@ -73,7 +76,7 @@ class ColumnarBackend(ExecutionBackend):
             stage_names = inp.stage_names()
             ctx.note(SubExpression.of(stage_names[0]), table)
             for step, stage in zip(inp.steps, stage_names[1:]):
-                table = kernels.apply_step(table, step)
+                table = physical.apply_step(table, step)
                 ctx.note(SubExpression.of(stage), table)
             inputs[name] = table
 
@@ -91,7 +94,7 @@ class ColumnarBackend(ExecutionBackend):
             rej_right = RejectSE(node.right.se, rej_key, node.left.se)
             want_l = rej_left in wanted_rejects
             want_r = rej_right in wanted_rejects
-            result, reject_l, reject_r = kernels.hash_join(
+            result, reject_l, reject_r = physical.hash_join(
                 left, right, key, want_l, want_r
             )
             if want_l:
@@ -106,7 +109,7 @@ class ColumnarBackend(ExecutionBackend):
 
         table = exec_tree(tree)
         for step, stage in zip(block.post_steps, block.post_stage_ses()):
-            table = kernels.apply_step(table, step)
+            table = physical.apply_step(table, step)
             ctx.note(stage, table)
         return table
 
@@ -121,9 +124,18 @@ class ColumnarBackend(ExecutionBackend):
         for idx, op in enumerate(block.floating):
             if idx in applied or not (op.anchor <= se.relations):
                 continue
-            table = ctx.kernels.apply_step(table, op.step)
+            table = physical.apply_step(table, op.step)
             applied.add(idx)
         return table
+
+
+class OracleBackend(ColumnarBackend):
+    """The columnar interpreter, never compiled: the differential oracle."""
+
+    name = "oracle"
+
+    def compiled_profile(self):
+        return None
 
 
 class Executor(BackendExecutor):

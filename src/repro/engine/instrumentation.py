@@ -92,7 +92,7 @@ class DistinctAccumulator:
 def make_distinct_accumulator(values: Iterable[tuple] = ()):
     """Factory for the distinct combiner every tap implementation uses.
 
-    This is the single seam behind all five backends' distinct taps:
+    This is the single seam behind every backend's distinct taps:
     under the default spec it returns the exact
     :class:`DistinctAccumulator`; inside a ``mode="hll"``
     :func:`~repro.estimation.sketches.sketch_scope` it returns a

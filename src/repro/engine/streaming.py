@@ -1,53 +1,39 @@
-"""A streaming (per-tuple) backend: the paper's instrumentation model.
+"""The streaming backend: chunked execution with additive per-point taps.
 
 Section 3.2.5: *"Many commercial ETL engines provide a mechanism to plug in
 user defined handlers at any point in the flow.  These handlers are invoked
-for every tuple that passes through that point."*  The columnar
-:class:`~repro.engine.executor.Executor` observes materialized tables; this
-module executes the same plans as generator pipelines where **each row**
-flows through the operators one at a time and statistics are updated
-per tuple:
+for every tuple that passes through that point."*  The columnar backend
+observes materialized tables once per plan point; this backend executes
+the same compiled plans over bounded row chunks and feeds every chunk to
+:class:`StreamingTaps`, whose accumulators add up batch by batch:
 
-- counters increment row by row;
-- histogram buckets increment as values stream past;
+- counters add the rows each chunk carries;
+- histogram buckets and distinct accumulators absorb values as they pass;
 - only hash-join build sides, blocking boundaries and materialized outputs
-  buffer rows.
+  hold whole tables.
 
-All backends are interchangeable: given the same plan and sources they
-produce identical targets, SE sizes and observed statistics (the
-cross-backend equivalence suite asserts it).  The streaming one exists
-because it exercises the *actual* code path an ETL engine would use --
-per-tuple observation with bounded instrumentation state.  It plugs into
-the shared plan-walking core as :class:`StreamingBackend`.
+Given the same plan and sources it produces the same targets, SE sizes and
+observed statistics as every other backend (the cross-backend
+equivalence suite checks it against the ``"oracle"`` interpreter).
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Iterable, Iterator
+from collections import Counter
+from typing import Iterable
 
-from repro.algebra.blocks import Block, Step
-from repro.algebra.expressions import AnySE, RejectSE, SubExpression
-from repro.algebra.plans import JoinNode, Leaf, PlanTree
+from repro.algebra.expressions import AnySE, RejectSE
 from repro.core.histogram import Histogram
 from repro.core.statistics import StatKind, Statistic, StatisticsStore
-from repro.engine.backend import (
-    BackendExecutor,
-    ExecutionBackend,
-    RunContext,
-    WorkflowRun,
-)
+from repro.engine.backend import ExecutionBackend, RunContext
 from repro.engine.instrumentation import (
     InstrumentationError,
     make_distinct_accumulator,
 )
-from repro.engine.table import Table, TableError
 
 __all__ = [
-    "StreamExecutor",
     "StreamingBackend",
     "StreamingTaps",
-    "WorkflowRun",
 ]
 
 Row = dict
@@ -209,20 +195,8 @@ class StreamingTaps:
         return [s for bucket in self._by_se.values() for s in bucket]
 
 
-def _table_rows(table: Table) -> Iterator[Row]:
-    attrs = table.attrs
-    for values in table.rows():
-        yield dict(zip(attrs, values))
-
-
-def _rows_table(rows: list[Row], attrs: tuple[str, ...]) -> Table:
-    if not rows:
-        return Table.empty(attrs)
-    return Table.wrap({a: [r[a] for r in rows] for a in attrs})
-
-
 class StreamingBackend(ExecutionBackend):
-    """Pipelined block execution with per-tuple taps."""
+    """Compiled block execution over row chunks with additive taps."""
 
     name = "streaming"
 
@@ -240,190 +214,5 @@ class StreamingBackend(ExecutionBackend):
     def compiled_profile(self):
         from repro.engine.compile import CompiledProfile
 
-        # bounded batches over row chunks (the compiled counterpart of
-        # per-tuple pipelining), canonical streaming column order
-        return CompiledProfile(
-            chunk_rows=2048, gather="auto", canonical_output=True
-        )
-
-    # ------------------------------------------------------------------
-    def _claim_point(self, ctx: RunContext, se: AnySE) -> bool:
-        """Claim a shared observation point exactly once per run.
-
-        A shared feed (source or boundary output consumed by several
-        blocks) must be observed exactly once -- streaming counters are
-        cumulative, unlike the columnar executor's idempotent puts.
-        """
-        with ctx.lock:
-            claimed = ctx.state.setdefault("claimed_points", set())
-            if se in claimed:
-                return False
-            claimed.add(se)
-            return True
-
-    def execute_block(self, block: Block, tree: PlanTree, ctx: RunContext) -> Table:
-        run, taps = ctx.run, ctx.taps
-        wanted_rejects = taps.reject_requests() | set(block.materialized_rejects)
-        counts: dict[AnySE, int] = defaultdict(int)
-
-        # each floating op fires at the lowest tree node containing its
-        # anchor (same placement as the columnar executor)
-        ops_at: dict[AnySE, list] = defaultdict(list)
-        placed: set[int] = set()
-
-        def place_ops(node: PlanTree) -> None:
-            if isinstance(node, JoinNode):
-                place_ops(node.left)
-                place_ops(node.right)
-            for idx, op in enumerate(block.floating):
-                if idx not in placed and op.anchor <= node.se.relations:
-                    ops_at[node.se].append(op)
-                    placed.add(idx)
-
-        place_ops(tree)
-
-        def tap_stream(se: AnySE, rows: Iterator[Row]) -> Iterator[Row]:
-            counts[se] += 0  # register the point even if no row passes
-            for row in rows:
-                counts[se] += 1
-                taps.observe_row(se, row)
-                yield row
-            # marked only on exhaustion: a block that dies mid-stream must
-            # report the point as unobserved, not as a partial accumulation
-            taps.mark_streamed(se)
-
-        def input_stream(name: str) -> Iterator[Row]:
-            inp = block.inputs[name]
-            rows: Iterator[Row] = _table_rows(run.env[inp.base_name])
-            stage_names = inp.stage_names()
-            raw_se = SubExpression.of(stage_names[0])
-            if self._claim_point(ctx, raw_se):
-                rows = tap_stream(raw_se, rows)
-            # else: size and stats already captured by the first consumer
-            for step, stage in zip(inp.steps, stage_names[1:]):
-                rows = _apply_step_stream(rows, step)
-                rows = tap_stream(SubExpression.of(stage), rows)
-            return rows
-
-        def exec_tree(node: PlanTree) -> Iterator[Row]:
-            if isinstance(node, Leaf):
-                return input_stream(node.name)
-            return join_stream(node)
-
-        def join_stream(node: JoinNode) -> Iterator[Row]:
-            key = tuple(node.key)
-            rej_key = key[0] if len(key) == 1 else key
-            rej_left = RejectSE(node.left.se, rej_key, node.right.se)
-            rej_right = RejectSE(node.right.se, rej_key, node.left.se)
-            want_left = rej_left in wanted_rejects
-            want_right = rej_right in wanted_rejects
-
-            # build the right side (materialized), stream the left
-            build: dict[tuple, list[Row]] = defaultdict(list)
-            build_rows: list[Row] = []
-            for row in exec_tree(node.right):
-                build[tuple(row[a] for a in key)].append(row)
-                build_rows.append(row)
-            matched_keys: set[tuple] = set()
-
-            def generate() -> Iterator[Row]:
-                reject_left_rows: list[Row] = []
-                for row in exec_tree(node.left):
-                    kv = tuple(row[a] for a in key)
-                    matches = build.get(kv)
-                    if not matches:
-                        if want_left:
-                            reject_left_rows.append(row)
-                        continue
-                    if want_right:
-                        matched_keys.add(kv)
-                    for other in matches:
-                        merged = dict(other)
-                        merged.update(row)
-                        for op in ops_at.get(node.se, ()):
-                            merged = _apply_step_row(merged, op.step)
-                        yield merged
-                # probe exhausted: emit reject links
-                if want_left:
-                    self._note_reject(
-                        ctx, rej_left, reject_left_rows, block, node.left.se
-                    )
-                if want_right:
-                    rejected = [
-                        r
-                        for r in build_rows
-                        if tuple(r[a] for a in key) not in matched_keys
-                    ]
-                    self._note_reject(
-                        ctx, rej_right, rejected, block, node.right.se
-                    )
-
-            return tap_stream(node.se, generate())
-
-        # floating ops fire once their anchor is joined; handled per row
-        final_rows = list(exec_tree(tree))
-
-        out_attrs = block.se_attrs(tree.se)
-        table = _rows_table(final_rows, tuple(out_attrs))
-
-        post_sizes: dict[AnySE, int] = {}
-        for step, stage in zip(block.post_steps, block.post_stage_ses()):
-            rows = _apply_step_stream(_table_rows(table), step)
-            collected = list(tap_stream(stage, rows))
-            table = _rows_table(collected, tuple(step.out_attrs))
-            post_sizes[stage] = table.num_rows
-        with ctx.lock:
-            run.se_sizes.update(post_sizes)
-            run.se_sizes.update(counts)
-        ctx.trace_sizes({**counts, **post_sizes})
-        return table
-
-    def _note_reject(
-        self,
-        ctx: RunContext,
-        rej: RejectSE,
-        rows: list[Row],
-        block: Block,
-        src_se,
-    ) -> None:
-        attrs = tuple(block.se_attrs(src_se))
-        table = _rows_table(rows, attrs)
-        with ctx.lock:
-            ctx.run.rejects[rej] = table
-            ctx.run.se_sizes[rej] = table.num_rows
-        ctx.taps.mark_streamed(rej)  # the join completed; zero rejects is real
-        for row in rows:
-            ctx.taps.observe_row(rej, row)
-        if ctx.tracer is not None and ctx.tracer.enabled:
-            ctx.trace_point(rej, table.num_rows, reject=True)
-
-
-class StreamExecutor(BackendExecutor):
-    """Pipelined workflow execution with per-tuple taps."""
-
-    def __init__(self, analysis, workers: int = 1):
-        super().__init__(analysis, StreamingBackend(), workers=workers)
-
-
-def _apply_step_row(row: Row, step: Step) -> Row | None:
-    node = step.node
-    if step.kind == "filter":
-        return row if node.predicate.fn(row[step.attrs[0]]) else None
-    if step.kind == "transform":
-        out_attr = step.result_attr if step.result_attr else step.attrs[0]
-        new = dict(row)
-        if len(step.attrs) == 1:
-            new[out_attr] = node.udf.fn(row[step.attrs[0]])
-        else:
-            new[out_attr] = node.udf.fn(tuple(row[a] for a in step.attrs))
-        return new
-    if step.kind == "project":
-        return {a: row[a] for a in step.attrs}
-    raise TableError(f"unknown step kind {step.kind!r}")
-
-
-def _apply_step_stream(rows: Iterator[Row], step: Step) -> Iterator[Row]:
-    for row in rows:
-        out = _apply_step_row(row, step)
-        if out is not None:
-            yield out
+        # bounded batches over row chunks
+        return CompiledProfile(chunk_rows=2048, gather="auto")

@@ -74,9 +74,8 @@ class PhysicalPlan:
 
 #: per-backend cost-factor presets.  The abstract row-unit formulas are the
 #: same for every execution backend, but the *constants* are not: the
-#: streaming backend pays per-tuple dict materialization on every operator,
-#: while the vectorized backend amortizes per-row interpreter overhead into
-#: bulk gathers (calibrate with ``benchmarks/bench_backend_throughput.py``).
+#: streaming backend pays chunking and additive-tap upkeep on every operator
+#: (calibrate with ``benchmarks/bench_backend_throughput.py``).
 BACKEND_COST_FACTORS: dict[str, dict[str, float]] = {
     "columnar": {
         "hash_build_factor": 1.5,
@@ -89,12 +88,6 @@ BACKEND_COST_FACTORS: dict[str, dict[str, float]] = {
         "sort_factor": 1.3,
         "merge_factor": 1.25,
         "nested_factor": 0.32,
-    },
-    "vectorized": {
-        "hash_build_factor": 0.7,
-        "sort_factor": 0.45,
-        "merge_factor": 0.4,
-        "nested_factor": 0.12,
     },
     # shard workers execute with the columnar kernel set; a small
     # surcharge covers shard dispatch and observation merging
@@ -139,12 +132,6 @@ COMPILED_COST_FACTORS: dict[str, dict[str, float]] = {
         "sort_factor": 0.11,
         "merge_factor": 0.10,
         "nested_factor": 0.03,
-    },
-    "vectorized": {
-        "hash_build_factor": 0.11,
-        "sort_factor": 0.07,
-        "merge_factor": 0.07,
-        "nested_factor": 0.02,
     },
     # workers compile per process against the columnar profile; the same
     # dispatch/merge surcharge as the interpreted constants applies

@@ -18,15 +18,18 @@ module supplies the sketch implementation of that protocol:
 - :class:`SketchSpec` -- the process-wide configuration consulted by
   ``make_distinct_accumulator``: ``mode="exact"`` keeps the historical
   exact set union, ``mode="hll"`` swaps the sketch in for every backend
-  (columnar, streaming, vectorized, compiled and multiprocess taps all
-  construct their accumulators through the one factory).
+  (the columnar, streaming, oracle and multiprocess taps all construct
+  their accumulators through the one factory).
   :func:`sketch_scope` installs a spec for the duration of a pipeline
   cycle; the multiprocess backend ships the active spec to its forked
   workers in each task payload.
 
 Hashing uses ``blake2b(repr(value))`` rather than Python's builtin
 ``hash`` because the builtin is salted per process: forked shard workers
-and the parent must agree on every value's register.
+and the parent must agree on every value's register.  Numbers are
+canonicalised first, so values Python counts as one (``1``, ``1.0`` and
+``True``; ``0.0`` and ``-0.0``) land in one register, as they do in the
+exact set.
 
 Serialization follows :mod:`repro.core.persistence`: a versioned JSON
 document (``to_doc`` / ``from_doc``) with base64 registers, so sketches
@@ -43,7 +46,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.persistence import FORMAT_VERSION, PersistenceError
+from repro.core.persistence import PersistenceError
 
 MIN_PRECISION = 4
 MAX_PRECISION = 18
@@ -52,20 +55,39 @@ DEFAULT_PRECISION = 14
 
 _HASH_BITS = 64
 
+#: version stamped into sketch documents; dense registers written before
+#: numeric canonicalisation (version 2 and older) mean something else
+#: and are refused
+SKETCH_FORMAT_VERSION = 3
+
 
 class SketchError(ValueError):
     """Raised for invalid sketch configuration or corrupt documents."""
+
+
+def _canonical(value):
+    """One representative per equal number: integral floats and bools
+    become ints (so ``-0.0`` becomes ``0``), recursively through tuples."""
+    if isinstance(value, tuple):
+        return tuple(_canonical(v) for v in value)
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else value
+    if isinstance(value, int):
+        return int(value)
+    return value
 
 
 def hash64(value) -> int:
     """Deterministic 64-bit hash, stable across processes and runs.
 
     ``repr`` of the tuples the taps accumulate (python scalars) is
-    deterministic, and blake2b is unsalted -- a forked worker and its
-    parent map every value to the same register/rank pair.
+    deterministic once numbers are canonicalised, and blake2b is
+    unsalted -- a forked worker and its parent map every value to the
+    same register/rank pair, and equal values to the same one.
     """
     digest = hashlib.blake2b(
-        repr(value).encode("utf-8", "backslashreplace"), digest_size=8
+        repr(_canonical(value)).encode("utf-8", "backslashreplace"),
+        digest_size=8,
     ).digest()
     return int.from_bytes(digest, "big")
 
@@ -297,7 +319,7 @@ class HllSketch:
     # -- versioned JSON round-trip --------------------------------------
     def to_doc(self) -> dict:
         doc = {
-            "format_version": FORMAT_VERSION,
+            "format_version": SKETCH_FORMAT_VERSION,
             "kind": "hll_sketch",
             "precision": self.precision,
             "exact_threshold": self.exact_threshold,
@@ -319,10 +341,10 @@ class HllSketch:
         if not isinstance(doc, dict) or doc.get("kind") != "hll_sketch":
             raise PersistenceError(f"not an hll_sketch document: {doc!r}")
         version = doc.get("format_version")
-        if not isinstance(version, int) or version > FORMAT_VERSION:
+        if not isinstance(version, int) or version > SKETCH_FORMAT_VERSION:
             raise PersistenceError(
                 f"hll_sketch format_version {version!r} is newer than "
-                f"supported ({FORMAT_VERSION})"
+                f"supported ({SKETCH_FORMAT_VERSION})"
             )
         try:
             sketch = cls(
@@ -338,6 +360,11 @@ class HllSketch:
                     )
                 sketch._values = values
             elif mode == "dense":
+                if version < SKETCH_FORMAT_VERSION:
+                    raise PersistenceError(
+                        f"hll_sketch format_version {version} registers "
+                        "hash numbers without canonicalisation; re-observe"
+                    )
                 registers = bytearray(
                     base64.b64decode(doc["registers"].encode("ascii"))
                 )
@@ -411,6 +438,7 @@ __all__ = [
     "DEFAULT_PRECISION",
     "MAX_PRECISION",
     "MIN_PRECISION",
+    "SKETCH_FORMAT_VERSION",
     "HllSketch",
     "SketchError",
     "SketchSpec",

@@ -1,17 +1,16 @@
-"""Suite-wide cross-backend equivalence.
+"""Suite-wide engine-vs-oracle equivalence.
 
 The :class:`~repro.engine.backend.ExecutionBackend` contract is that every
 backend computes the *same workflow semantics* and surfaces the *same
 observation points* (the paper's Section 3.2.5 premise that statistics
 identification is engine-independent).  This pins it across all 30 suite
-workflows: the columnar reference, the vectorized kernels, the streaming
-executor, and the parallel block scheduler must produce identical targets,
-identical SE sizes, and identical observed statistics for the
-greedy-selected set.
+workflows: the compiled columnar and streaming profiles, the parallel
+block scheduler and the sharded backend must produce the targets, SE
+sizes and observed statistics (for the greedy-selected set) of the
+``"oracle"`` columnar interpreter.
 
-Target rows are compared under a canonical (sorted) attribute order: the
-streaming backend materializes targets from row dicts, so its column
-*order* may differ while the content is identical.
+Target rows are compared as multisets under a sorted attribute order:
+only the content is the contract, not row or column order.
 """
 
 import pytest
@@ -24,17 +23,15 @@ from repro.core.selection import build_problem
 from repro.engine.backend import BackendExecutor, get_backend
 from repro.workloads import suite
 
-#: (backend, scheduler width) variants checked against the serial columnar
-#: reference -- covering the vectorized kernels, the per-tuple streaming
-#: engine, the parallel scheduler on both materializing backends, and the
-#: sharded multiprocess backend (where the second element is the shard
-#: count; ``inline`` keeps this suite fork-free, the pool path is pinned
-#: by tests/dist)
+#: (backend, scheduler width) variants checked against the serial oracle
+#: -- the compiled whole-column profile serially and on the parallel
+#: scheduler, the chunked streaming profile, and the sharded multiprocess
+#: backend (where the second element is the shard count; ``inline`` keeps
+#: this suite fork-free, the pool path is pinned by tests/dist)
 VARIANTS = [
-    ("vectorized", 1),
-    ("vectorized", 4),
-    ("streaming", 2),
+    ("columnar", 1),
     ("columnar", 4),
+    ("streaming", 2),
     ("multiprocess", 2),
     ("multiprocess", 4),
 ]
@@ -58,7 +55,7 @@ def _variant_backend(backend_name: str, workers: int):
 
 @pytest.fixture(scope="module")
 def reference():
-    """Per-workflow (analysis, selection, sources, columnar run), cached."""
+    """Per-workflow (analysis, selection, sources, oracle run), cached."""
     cache = {}
 
     def get(case):
@@ -70,7 +67,7 @@ def reference():
                 build_problem(catalog, CostModel(workflow.catalog))
             )
             sources = case.tables(scale=SCALE, seed=SEED)
-            backend = get_backend("columnar")
+            backend = get_backend("oracle")
             run = BackendExecutor(analysis, backend).run(
                 sources, taps=backend.make_taps(selection.observed)
             )

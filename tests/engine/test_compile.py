@@ -1,10 +1,11 @@
 """Plan compilation: lowering, fused execution, and the signature cache.
 
-The compiled path's contract is *interpreter equivalence*: same targets,
-same SE sizes, same tapped statistics, same reject rows -- on every
-backend, chunked or whole-column.  On top of that this file pins the
-cache behaviour: warm runs hit, plan changes miss, schema drift and
-contract changes invalidate instead of silently reusing stale programs.
+The compiled path's contract is *oracle equivalence*: the targets, SE
+sizes, tapped statistics and reject rows of the ``"oracle"`` columnar
+interpreter -- on every profile, chunked or whole-column.  On top of that
+this file pins the cache behaviour: warm runs hit, plan changes miss,
+schema drift and contract changes invalidate instead of silently reusing
+stale programs.
 """
 
 from types import SimpleNamespace
@@ -160,13 +161,9 @@ class TestLowering:
         count(program.root)
         assert placed == len(block.floating) > 0
 
-        for backend in ("columnar", "streaming", "vectorized"):
-            ref = BackendExecutor(analysis, backend, compile_plans=False).run(
-                sources
-            )
-            run = BackendExecutor(analysis, backend, compile_plans=True).run(
-                sources
-            )
+        ref = BackendExecutor(analysis, "oracle").run(sources)
+        for backend in ("columnar", "streaming"):
+            run = BackendExecutor(analysis, backend).run(sources)
             t, u = ref.target("out"), run.target("out")
             attrs = sorted(t.attrs)
             assert sorted(u.rows(attrs)) == sorted(t.rows(attrs)), backend
@@ -198,18 +195,22 @@ class TestLowering:
 
 
 # ---------------------------------------------------------------------------
-# compiled-vs-interpreted equivalence (incl. reject links and taps)
+# compiled-vs-oracle equivalence (incl. reject links and taps)
 # ---------------------------------------------------------------------------
+def _oracle_run(analysis, selection, sources):
+    oracle = get_backend("oracle")
+    return BackendExecutor(analysis, oracle).run(
+        sources, taps=oracle.make_taps(selection.observed)
+    )
+
+
 class TestCompiledEquivalence:
-    @pytest.mark.parametrize("backend_name", ["columnar", "streaming", "vectorized"])
+    @pytest.mark.parametrize("backend_name", ["columnar", "streaming"])
     def test_matches_interpreter_with_taps_and_rejects(self, backend_name):
         analysis, selection, sources = _setup(21)
-        rb = get_backend(backend_name)
-        ref = BackendExecutor(analysis, rb, compile_plans=False).run(
-            sources, taps=rb.make_taps(selection.observed)
-        )
+        ref = _oracle_run(analysis, selection, sources)
         b = get_backend(backend_name)
-        run = BackendExecutor(analysis, b, compile_plans=True).run(
+        run = BackendExecutor(analysis, b).run(
             sources, taps=b.make_taps(selection.observed)
         )
         _assert_equal_runs(run, ref, selection, backend_name)
@@ -219,16 +220,14 @@ class TestCompiledEquivalence:
 
         class TinyChunks(StreamingBackend):
             def compiled_profile(self):
-                return CompiledProfile(
-                    chunk_rows=5, gather="auto", canonical_output=True
-                )
+                return CompiledProfile(chunk_rows=5, gather="auto")
 
         rb = get_backend("streaming")
-        ref = BackendExecutor(analysis, rb, compile_plans=True).run(
+        ref = BackendExecutor(analysis, rb).run(
             sources, taps=rb.make_taps(selection.observed)
         )
         b = TinyChunks()
-        run = BackendExecutor(analysis, b, workers=4, compile_plans=True).run(
+        run = BackendExecutor(analysis, b, workers=4).run(
             sources, taps=b.make_taps(selection.observed)
         )
         _assert_equal_runs(run, ref, selection, "chunked")
@@ -238,16 +237,11 @@ class TestCompiledEquivalence:
 
         class PinnedPython(StreamingBackend):
             def compiled_profile(self):
-                return CompiledProfile(
-                    chunk_rows=64, gather="python", canonical_output=True
-                )
+                return CompiledProfile(chunk_rows=64, gather="python")
 
-        rb = get_backend("streaming")
-        ref = BackendExecutor(analysis, rb, compile_plans=False).run(
-            sources, taps=rb.make_taps(selection.observed)
-        )
+        ref = _oracle_run(analysis, selection, sources)
         b = PinnedPython()
-        run = BackendExecutor(analysis, b, compile_plans=True).run(
+        run = BackendExecutor(analysis, b).run(
             sources, taps=b.make_taps(selection.observed)
         )
         _assert_equal_runs(run, ref, selection, "python-rung")
@@ -285,11 +279,11 @@ class TestCompiledEquivalence:
                 return CompiledProfile(chunk_rows=None, gather="python")
 
         rb = get_backend("columnar")
-        ref = BackendExecutor(analysis, rb, compile_plans=True).run(
+        ref = BackendExecutor(analysis, rb).run(
             sources, taps=rb.make_taps(selection.observed)
         )
         b = PinnedPython()
-        run = BackendExecutor(analysis, b, compile_plans=True).run(
+        run = BackendExecutor(analysis, b).run(
             sources, taps=b.make_taps(selection.observed)
         )
         _assert_equal_runs(run, ref, selection, f"{name} python-rung")
@@ -303,25 +297,22 @@ class TestCompiledEquivalence:
             def compiled_profile(self):
                 return CompiledProfile(chunk_rows=100, gather="auto")
 
-        rb = get_backend("columnar")
-        ref = BackendExecutor(analysis, rb, compile_plans=False).run(
-            sources, taps=rb.make_taps(selection.observed)
-        )
+        ref = _oracle_run(analysis, selection, sources)
         b = ChunkedColumnar()
-        run = BackendExecutor(analysis, b, compile_plans=True).run(
+        run = BackendExecutor(analysis, b).run(
             sources, taps=b.make_taps(selection.observed)
         )
         _assert_equal_runs(run, ref, selection, "chunked replace-mode")
 
-    def test_repro_compile_env_disables_compilation(self, monkeypatch):
+    def test_only_the_oracle_interprets(self):
         analysis, _, sources = _setup(1)
-        monkeypatch.setenv("REPRO_COMPILE", "0")
-        ex = BackendExecutor(analysis, "vectorized")
-        ex.run(sources)
-        assert ex.plan_cache is None  # compiled path never engaged
-        monkeypatch.setenv("REPRO_COMPILE", "1")
-        ex.run(sources)
-        assert ex.plan_cache is not None and len(ex.plan_cache) > 0
+        oracle = BackendExecutor(analysis, "oracle")
+        oracle.run(sources)
+        assert oracle.plan_cache is None  # compiled path never engaged
+        for name in ("columnar", "streaming"):
+            ex = BackendExecutor(analysis, name)
+            ex.run(sources)
+            assert ex.plan_cache is not None and len(ex.plan_cache) > 0, name
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +353,7 @@ class TestPlanCache:
         other = compile_blocks(
             analysis,
             backend="streaming",
-            profile=CompiledProfile(chunk_rows=2048, canonical_output=True),
+            profile=CompiledProfile(chunk_rows=2048),
             cache=cache,
         )
         assert other.cache_hits == 0
@@ -406,7 +397,7 @@ class TestStaleCacheInvalidation:
         from repro.quality import ContractSet, QualityGate
 
         contracts = ContractSet.infer(sources)
-        ex = BackendExecutor(analysis, "vectorized", compile_plans=True)
+        ex = BackendExecutor(analysis, "columnar")
         ex.run(sources, quality=QualityGate(contracts=contracts))
         warm = len(ex.plan_cache)
         assert warm > 0
@@ -426,14 +417,14 @@ class TestStaleCacheInvalidation:
             ),
             seed=11,
         )
-        rb = get_backend("vectorized")
-        ref = BackendExecutor(analysis, rb, compile_plans=False).run(
+        rb = get_backend("oracle")
+        ref = BackendExecutor(analysis, rb).run(
             sources,
             taps=rb.make_taps(selection.observed),
             faults=drifty.injector(),
             quality=QualityGate(contracts=ContractSet.infer(sources)),
         )
-        b = get_backend("vectorized")
+        b = get_backend("columnar")
         run = ex.run(
             sources,
             taps=b.make_taps(selection.observed),
@@ -456,9 +447,7 @@ class TestStaleCacheInvalidation:
 
         contracts = ContractSet.infer(sources)
         cache = PlanCache()
-        ex = BackendExecutor(
-            analysis, "vectorized", compile_plans=True, plan_cache=cache
-        )
+        ex = BackendExecutor(analysis, "columnar", plan_cache=cache)
         ex.run(sources, quality=QualityGate(contracts=contracts))
         misses_cold = cache.misses
         ex.run(sources, quality=QualityGate(contracts=contracts))
@@ -564,7 +553,7 @@ class TestCompileTrace:
         from repro.obs.render import render_trace
 
         analysis, _, sources = _setup(1)
-        ex = BackendExecutor(analysis, "vectorized", compile_plans=True)
+        ex = BackendExecutor(analysis, "columnar")
         tracer = Tracer()
         ex.run(sources, tracer=tracer)
         spans = tracer.root.find(name="compile")
@@ -589,7 +578,7 @@ class TestCompileTrace:
 
         wfcase = case(1)
         pipeline = StatisticsPipeline(
-            wfcase.build(), solver="greedy", backend="vectorized"
+            wfcase.build(), solver="greedy", backend="columnar"
         )
         tracer = Tracer()
         pipeline.run_once(wfcase.tables(scale=SCALE, seed=SEED), tracer=tracer)
@@ -622,7 +611,7 @@ class TestCompiledCostFactors:
         from repro.estimation.physical import physical_plans
 
         analysis, _, sources = _setup(9)  # a 3-way join block
-        ex = BackendExecutor(analysis, "columnar", compile_plans=False)
+        ex = BackendExecutor(analysis, "oracle")
         run = ex.run(sources)
         cards = {se: float(n) for se, n in run.se_sizes.items()}
         interp = physical_plans(analysis, cards, backend="streaming")

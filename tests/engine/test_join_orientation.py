@@ -2,16 +2,17 @@
 
 An equi-join's cost model (Section 5) is symmetric in its inputs, so an
 optimized join tree carries no preferred orientation.  The whole-batch
-compiled profiles therefore pick the build side at run time -- the input
+compiled profile therefore picks the build side at run time -- the input
 with fewer rows, ties keep the right -- matching the physical planner's
 hash-join cost (build the smaller side, probe the larger).  These tests
 pin both halves of that contract:
 
 - *orientation is invisible*: a tree with every join mirrored runs
-  compiled to exactly the interpreter's targets, sizes, observations
-  (histogram buckets, HLL registers) and reject rows on the original tree;
+  compiled to exactly the oracle interpreter's targets, sizes,
+  observations (histogram buckets, HLL registers) and reject rows on the
+  original tree;
 - *the work is the smaller side*: every build sees ``min(|left|,
-  |right|)`` rows on the whole-batch profiles, while the chunked
+  |right|)`` rows on the whole-batch profile, while the chunked
   streaming profile, whose left side streams, keeps building the right.
 """
 
@@ -35,7 +36,7 @@ from repro.obs.trace import Tracer
 from repro.workloads import case, suite
 
 SCALE, SEED = 0.06, 23
-WHOLE_BATCH = ("columnar", "vectorized")
+WHOLE_BATCH = ("columnar",)
 #: dense registers from the first value, so equality compares registers
 HLL = SketchSpec(mode="hll", precision=8, exact_threshold=0)
 
@@ -71,7 +72,7 @@ def _rows(table):
 
 
 # ---------------------------------------------------------------------------
-# orientation differential: mirrored compiled == original interpreted
+# orientation differential: mirrored compiled == original on the oracle
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("backend_name", WHOLE_BATCH)
 @pytest.mark.parametrize("number", [wf.number for wf in suite()])
@@ -88,13 +89,11 @@ def test_mirrored_tree_compiled_matches_interpreter(number, backend_name):
 
     with sketch_scope(HLL):
         ref_taps = TapSet(stats, mergeable=True)
-        ref = BackendExecutor(
-            analysis, get_backend(backend_name), compile_plans=False
-        ).run(sources, taps=ref_taps)
+        ref = BackendExecutor(analysis, "oracle").run(sources, taps=ref_taps)
         taps = TapSet(stats, mergeable=True)
-        run = BackendExecutor(
-            analysis, get_backend(backend_name), compile_plans=True
-        ).run(sources, mirrored, taps=taps)
+        run = BackendExecutor(analysis, get_backend(backend_name)).run(
+            sources, mirrored, taps=taps
+        )
 
     assert set(run.targets) == set(ref.targets)
     for name, table in ref.targets.items():
@@ -129,7 +128,7 @@ def builds(monkeypatch):
 @pytest.fixture(scope="module")
 def wf21_adopted():
     """wf21 at scale 1, its adopted (re-optimized) trees, and the
-    interpreter's sizes on them."""
+    oracle's sizes on them."""
     wfcase = case(21)
     sources = wfcase.tables(scale=1, seed=SEED)
     pipeline = StatisticsPipeline(
@@ -138,9 +137,7 @@ def wf21_adopted():
     report = pipeline.run_once(sources)
     trees = report.chosen_trees
     analysis = report.analysis
-    ref = BackendExecutor(analysis, "columnar", compile_plans=False).run(
-        sources, trees
-    )
+    ref = BackendExecutor(analysis, "oracle").run(sources, trees)
     joins = [
         node
         for block in analysis.blocks
@@ -154,9 +151,7 @@ def test_whole_batch_builds_the_smaller_input(
     backend_name, wf21_adopted, builds
 ):
     analysis, sources, trees, joins, sizes = wf21_adopted
-    BackendExecutor(analysis, backend_name, compile_plans=True).run(
-        sources, trees
-    )
+    BackendExecutor(analysis, backend_name).run(sources, trees)
     expected = [min(sizes[n.left.se], sizes[n.right.se]) for n in joins]
     assert sorted(builds) == sorted(expected)
     # the adopted plan really has joins whose smaller input is the left
@@ -165,9 +160,7 @@ def test_whole_batch_builds_the_smaller_input(
 
 def test_streaming_keeps_building_the_right_input(wf21_adopted, builds):
     analysis, sources, trees, joins, sizes = wf21_adopted
-    BackendExecutor(analysis, "streaming", compile_plans=True).run(
-        sources, trees
-    )
+    BackendExecutor(analysis, "streaming").run(sources, trees)
     assert sorted(builds) == sorted(sizes[n.right.se] for n in joins)
 
 
@@ -195,12 +188,8 @@ def _tracked_workflow(left_keys=(1, 2, 9)):
 @pytest.mark.parametrize("backend_name", WHOLE_BATCH)
 def test_tracked_reject_join_builds_the_smaller_input(backend_name, builds):
     analysis, sources = _tracked_workflow()
-    ref = BackendExecutor(analysis, backend_name, compile_plans=False).run(
-        sources
-    )
-    run = BackendExecutor(analysis, backend_name, compile_plans=True).run(
-        sources
-    )
+    ref = BackendExecutor(analysis, "oracle").run(sources)
+    run = BackendExecutor(analysis, backend_name).run(sources)
     assert builds == [3]  # L, built although it is the plan's left input
     # output shape: left attrs then right extras, in the interpreter's order
     assert run.target("out").attrs == ref.target("out").attrs
@@ -220,9 +209,7 @@ def test_traced_join_point_names_the_built_side(backend_name):
     ):
         analysis, sources = _tracked_workflow(left_keys)
         tracer = Tracer()
-        BackendExecutor(analysis, backend_name, compile_plans=True).run(
-            sources, tracer=tracer
-        )
+        BackendExecutor(analysis, backend_name).run(sources, tracer=tracer)
         block = analysis.blocks[0]
         point = tracer.root.first(
             kind="operator", name=repr(block.initial_tree.se)

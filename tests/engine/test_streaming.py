@@ -1,4 +1,4 @@
-"""Tests for the streaming (per-tuple) executor."""
+"""Tests for the streaming backend (chunked compiled plans, additive taps)."""
 
 import pytest
 
@@ -9,9 +9,9 @@ from repro.core.generator import generate_css
 from repro.core.greedy import solve_greedy
 from repro.core.selection import build_problem
 from repro.core.statistics import Statistic
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.instrumentation import InstrumentationError, TapSet
-from repro.engine.streaming import StreamExecutor, StreamingTaps
+from repro.engine.streaming import StreamingTaps
 from repro.estimation.estimator import CardinalityEstimator
 from repro.workloads import case
 
@@ -23,7 +23,8 @@ SAMPLE = [1, 5, 9, 13, 17, 22, 23, 25, 28]
 
 @pytest.mark.parametrize("number", SAMPLE)
 def test_streaming_matches_columnar(number):
-    """Targets, SE sizes and every observed statistic agree exactly."""
+    """Targets, SE sizes and every observed statistic agree exactly with
+    the oracle columnar interpreter."""
     wfcase = case(number)
     workflow = wfcase.build()
     analysis = analyze(workflow)
@@ -31,8 +32,10 @@ def test_streaming_matches_columnar(number):
     selection = solve_greedy(build_problem(catalog, CostModel(workflow.catalog)))
     tables = wfcase.tables(scale=0.12, seed=7)
 
-    columnar = Executor(analysis).run(tables, taps=TapSet(selection.observed))
-    streaming = StreamExecutor(analysis).run(
+    columnar = BackendExecutor(analysis, "oracle").run(
+        tables, taps=TapSet(selection.observed)
+    )
+    streaming = BackendExecutor(analysis, "streaming").run(
         tables, taps=StreamingTaps(selection.observed)
     )
 
@@ -57,7 +60,7 @@ def test_streaming_estimates_are_exact():
     catalog = generate_css(analysis)
     selection = solve_greedy(build_problem(catalog, CostModel(workflow.catalog)))
     tables = wfcase.tables(scale=0.12, seed=9)
-    run = StreamExecutor(analysis).run(
+    run = BackendExecutor(analysis, "streaming").run(
         tables, taps=StreamingTaps(selection.observed)
     )
     estimator = CardinalityEstimator(catalog, run.observations)
@@ -74,8 +77,9 @@ def test_reordered_plan_supported():
     block = analysis.blocks[0]
     tables = wfcase.tables(scale=0.2, seed=3)
     alternative = block.graph.enumerate_trees()[1]
-    base = StreamExecutor(analysis).run(tables)
-    alt = StreamExecutor(analysis).run(tables, trees={block.name: alternative})
+    streaming = BackendExecutor(analysis, "streaming")
+    base = streaming.run(tables)
+    alt = streaming.run(tables, trees={block.name: alternative})
     t = next(iter(base.targets))
     attrs = sorted(base.targets[t].attrs)
     assert sorted(base.targets[t].rows(attrs)) == sorted(alt.targets[t].rows(attrs))

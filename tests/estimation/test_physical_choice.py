@@ -165,12 +165,12 @@ class TestBackendCostFactors:
         tree = JoinNode(Leaf("A"), Leaf("B"), ("k",))
         return PhysicalPlanner(model).plan(tree).total_cost
 
-    def test_vectorized_is_cheapest_streaming_dearest(self):
+    def test_streaming_is_dearest(self):
         costs = {
             b: self._plan_cost(b)
-            for b in ("columnar", "streaming", "vectorized")
+            for b in ("columnar", "multiprocess", "streaming")
         }
-        assert costs["vectorized"] < costs["columnar"] < costs["streaming"]
+        assert costs["columnar"] < costs["multiprocess"] < costs["streaming"]
 
     def test_unknown_backend_names_the_known_ones(self):
         with pytest.raises(KeyError, match="columnar"):

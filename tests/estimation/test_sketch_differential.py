@@ -10,9 +10,10 @@ Two guarantees make ``--distinct-sketch hll`` safe to turn on:
 - **Estimates are accurate and backend-independent.**  Distinct taps
   forced onto every observable point stay within 5% relative error of
   the exact counts, and -- because the sketch hash is deterministic
-  across processes -- every backend (columnar, streaming, vectorized,
-  the compiled path and the multiprocess backend at 1/2/4 shards)
-  produces the *same* estimate, not merely an equally-close one.
+  across processes -- every backend (the oracle interpreter, the
+  compiled columnar and streaming profiles and the multiprocess backend
+  at 1/2/4 shards) produces the *same* estimate, not merely an
+  equally-close one.
 
 The dist-marker chaos case at the bottom pins the no-double-merge
 property: a worker killed mid-shard is retried, and the retried shard's
@@ -41,15 +42,14 @@ HLL = SketchSpec(mode="hll")
 #: default precision's typical error is ~0.8%, so 5% has ample headroom
 MAX_REL_ERROR = 0.05
 
-#: engine variants beyond the serial columnar reference: the second
+#: engine variants checked against the exact oracle reference: the second
 #: element is the scheduler width, or the shard count for multiprocess
 #: (``inline`` keeps this suite fork-free; the pool path is pinned by
 #: the dist-marker chaos case below and tests/dist)
 VARIANTS = [
+    ("oracle", 1),
     ("columnar", 1),
     ("streaming", 1),
-    ("vectorized", 1),
-    ("compiled", 1),
     ("multiprocess", 1),
     ("multiprocess", 2),
     ("multiprocess", 4),
@@ -57,7 +57,7 @@ VARIANTS = [
 
 
 def _variant_backend(backend_name: str, workers: int):
-    """``(backend, scheduler width, compile_plans)`` for one variant."""
+    """``(backend, scheduler width)`` for one variant."""
     if backend_name == "multiprocess":
         from repro.engine.dist import MultiprocessBackend
 
@@ -66,10 +66,8 @@ def _variant_backend(backend_name: str, workers: int):
             inline=True,
             factors={"min_shard_rows": 0},
         )
-        return backend, 1, False
-    if backend_name == "compiled":
-        return get_backend("columnar"), 1, True
-    return get_backend(backend_name), workers, False
+        return backend, 1
+    return get_backend(backend_name), workers
 
 
 def _forced_distincts(selection, sources) -> list[Statistic]:
@@ -116,7 +114,7 @@ def prepared():
             sources = wfcase.tables(scale=SCALE, seed=SEED)
             forced = _forced_distincts(selection, sources)
             tapped = list(selection.observed) + forced
-            backend = get_backend("columnar")
+            backend = get_backend("oracle")
             ref = BackendExecutor(analysis, backend).run(
                 sources, taps=backend.make_taps(tapped)
             )
@@ -148,7 +146,7 @@ def test_chosen_plans_identical_under_hll(wfcase):
 
 
 @pytest.mark.parametrize("backend_name,shards", [
-    ("streaming", 1), ("vectorized", 1), ("multiprocess", 2),
+    ("oracle", 1), ("streaming", 1), ("multiprocess", 2),
 ])
 @pytest.mark.parametrize("number", [7, 17, 21])
 def test_chosen_plans_identical_across_backends(number, backend_name, shards):
@@ -186,11 +184,11 @@ def test_distinct_estimates_accurate_and_backend_identical(
     analysis, tapped, observed, sources, ref = prepared(wfcase)
     assert observed, "no distinct tap materialized -- the test is vacuous"
 
-    backend, width, compile_plans = _variant_backend(backend_name, workers)
+    backend, width = _variant_backend(backend_name, workers)
     with sketch_scope(HLL):
-        run = BackendExecutor(
-            analysis, backend, workers=width, compile_plans=compile_plans
-        ).run(sources, taps=backend.make_taps(tapped))
+        run = BackendExecutor(analysis, backend, workers=width).run(
+            sources, taps=backend.make_taps(tapped)
+        )
 
     for stat in observed:
         exact = ref.observations.get(stat)
@@ -199,13 +197,13 @@ def test_distinct_estimates_accurate_and_backend_identical(
         err = abs(estimate - exact) / max(exact, 1)
         assert err <= MAX_REL_ERROR, (stat, exact, estimate)
 
-    if backend_name != "columnar":
+    if backend_name != "oracle":
         # deterministic hashing: every backend lands the same registers,
         # so estimates agree exactly -- not merely within the bound
-        columnar = get_backend("columnar")
+        oracle = get_backend("oracle")
         with sketch_scope(HLL):
-            hll_ref = BackendExecutor(analysis, columnar).run(
-                sources, taps=columnar.make_taps(tapped)
+            hll_ref = BackendExecutor(analysis, oracle).run(
+                sources, taps=oracle.make_taps(tapped)
             )
         for stat in observed:
             assert run.observations.maybe(stat) == hll_ref.observations.maybe(

@@ -38,7 +38,7 @@ SE = SubExpression.of
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1337"))
 _only = os.environ.get("REPRO_CHAOS_BACKEND", "")
-BACKENDS = [_only] if _only else ["columnar", "streaming", "vectorized"]
+BACKENDS = [_only] if _only else ["columnar", "streaming"]
 
 #: wf25 is the multi-target workflow: B1 feeds B2 and B3, which are
 #: mutually independent -- failing B2 leaves B1 and B3 healthy.

@@ -1,12 +1,13 @@
-"""Differential fuzz: every backend agrees on random workflows.
+"""Differential fuzz: every backend agrees with the oracle on random workflows.
 
 The suite-wide equivalence test pins the backend contract on the 30
 hand-written workflows; this one extends it to *seeded random* workflows,
 where operator mixes (reject links under transforms, projected join keys,
 aggregations over filtered joins) occur in combinations no suite workflow
-exercises.  The columnar serial run is the reference; every other
-(backend, workers) variant must produce identical sorted target tables,
-identical observation-point sizes, and identical tapped statistics.
+exercises.  The serial ``"oracle"`` columnar interpreter is the
+reference; every (backend, workers) variant must produce identical sorted
+target tables, identical observation-point sizes, and identical tapped
+statistics.
 
 Seeds derive from ``REPRO_PROPERTY_SEED`` (default 0), so the CI sample is
 fixed and failures replay locally with the same environment variable.
@@ -29,16 +30,15 @@ pytestmark = pytest.mark.property
 BASE_SEED = int(os.environ.get("REPRO_PROPERTY_SEED", "0"))
 SEEDS = [BASE_SEED * 1000 + i for i in range(12)]
 
-#: every non-reference variant: both materializing backends, the
-#: streaming engine (serial and under the 4-wide parallel scheduler),
-#: and the sharded multiprocess backend at 1/2/4 shards (the second
-#: element is the shard count for multiprocess rows)
+#: every engine variant: the whole-column and chunked streaming profiles,
+#: each serial and under the 4-wide parallel scheduler, and the sharded
+#: multiprocess backend at 1/2/4 shards (the second element is the shard
+#: count for multiprocess rows)
 VARIANTS = [
+    ("columnar", 1),
     ("columnar", 4),
     ("streaming", 1),
     ("streaming", 4),
-    ("vectorized", 1),
-    ("vectorized", 4),
     ("multiprocess", 1),
     ("multiprocess", 2),
     ("multiprocess", 4),
@@ -61,7 +61,7 @@ def _variant_backend(backend_name: str, workers: int):
 
 @pytest.fixture(scope="module")
 def reference():
-    """Per-seed (analysis, selection, tables, columnar serial run)."""
+    """Per-seed (analysis, selection, tables, oracle run)."""
     cache = {}
 
     def get(seed):
@@ -72,7 +72,7 @@ def reference():
             selection = solve_greedy(
                 build_problem(catalog, CostModel(workflow.catalog))
             )
-            backend = get_backend("columnar")
+            backend = get_backend("oracle")
             run = BackendExecutor(analysis, backend).run(
                 tables, taps=backend.make_taps(selection.observed)
             )

@@ -1,13 +1,13 @@
-"""Differential fuzz: compiled plans agree with the interpreter.
+"""Differential fuzz: compiled plans agree with the oracle interpreter.
 
 The plan-compilation layer promises bit-for-bit observational equivalence
-with each backend's interpreter: same targets, same observation-point
-sizes, same tapped statistics, same reject rows.  The hand-written suite
-pins that on 30 workflows; this file extends it to seeded random
-workflows (operator mixes the suite never produces), to dirty extracts
-(quarantine victims and schema-drift resolutions must be identical), and
-to the optimizer itself (the chosen plans cannot depend on whether the
-executor compiled).
+with the ``"oracle"`` columnar interpreter on every profile: same
+targets, same observation-point sizes, same tapped statistics, same
+reject rows.  The hand-written suite pins that on 30 workflows; this file
+extends it to seeded random workflows (operator mixes the suite never
+produces), to dirty extracts (quarantine victims and schema-drift
+resolutions must be identical), and to the optimizer itself (the chosen
+plans cannot depend on whether the executor compiled).
 
 Seeds derive from ``REPRO_PROPERTY_SEED`` (default 0), so the CI sample
 is fixed and failures replay locally with the same environment variable.
@@ -32,15 +32,15 @@ pytestmark = pytest.mark.property
 
 BASE_SEED = int(os.environ.get("REPRO_PROPERTY_SEED", "0"))
 SEEDS = [BASE_SEED * 1000 + i for i in range(8)]
-BACKENDS = ("columnar", "streaming", "vectorized")
+BACKENDS = ("columnar", "streaming")
 
 
 @pytest.fixture(scope="module")
 def reference():
-    """Per-seed (analysis, selection, tables) plus interpreted runs."""
+    """Per-seed (analysis, selection, tables, oracle run), cached."""
     cache = {}
 
-    def get(seed, backend_name):
+    def get(seed):
         if seed not in cache:
             workflow, tables = random_workflow(seed)
             analysis = analyze(workflow)
@@ -48,14 +48,12 @@ def reference():
             selection = solve_greedy(
                 build_problem(catalog, CostModel(workflow.catalog))
             )
-            cache[seed] = (analysis, selection, tables, {})
-        analysis, selection, tables, runs = cache[seed]
-        if backend_name not in runs:
-            backend = get_backend(backend_name)
-            runs[backend_name] = BackendExecutor(
-                analysis, backend, compile_plans=False
-            ).run(tables, taps=backend.make_taps(selection.observed))
-        return analysis, selection, tables, runs[backend_name]
+            oracle = get_backend("oracle")
+            run = BackendExecutor(analysis, oracle).run(
+                tables, taps=oracle.make_taps(selection.observed)
+            )
+            cache[seed] = (analysis, selection, tables, run)
+        return cache[seed]
 
     return get
 
@@ -65,9 +63,9 @@ def reference():
 def test_compiled_matches_interpreter_on_random_workflow(
     seed, backend_name, reference
 ):
-    analysis, selection, tables, ref = reference(seed, backend_name)
+    analysis, selection, tables, ref = reference(seed)
     backend = get_backend(backend_name)
-    run = BackendExecutor(analysis, backend, compile_plans=True).run(
+    run = BackendExecutor(analysis, backend).run(
         tables, taps=backend.make_taps(selection.observed)
     )
 
@@ -86,7 +84,7 @@ def test_compiled_matches_interpreter_on_random_workflow(
     assert run.se_sizes == ref.se_sizes, seed
 
     # identical tapped statistics -- the fused kernels feed the same
-    # column batches the interpreter feeds row-by-row or table-at-once
+    # rows the interpreter feeds table-at-once
     for stat in selection.observed:
         assert run.observations.maybe(stat) == ref.observations.get(stat), (
             seed,
@@ -148,16 +146,16 @@ def test_quarantine_victims_identical_compiled_vs_interpreted(backend_name):
     wfcase = case(25)
     analysis = analyze(wfcase.build())
     fingerprints = {}
-    for compiled in (False, True):
+    for name in ("oracle", backend_name):
         sources = wfcase.tables(scale=0.05, seed=7)
         gate = QualityGate(contracts=ContractSet.infer(sources))
-        run = BackendExecutor(
-            analysis, get_backend(backend_name), compile_plans=compiled
-        ).run(sources, faults=DIRTY.injector(), quality=gate)
-        fingerprints[compiled] = _quality_fingerprint(run)
-    assert fingerprints[True]["quarantined"]  # the injection actually bit
-    assert fingerprints[True]["drift"]
-    assert fingerprints[True] == fingerprints[False], backend_name
+        run = BackendExecutor(analysis, get_backend(name)).run(
+            sources, faults=DIRTY.injector(), quality=gate
+        )
+        fingerprints[name] = _quality_fingerprint(run)
+    assert fingerprints[backend_name]["quarantined"]  # the injection bit
+    assert fingerprints[backend_name]["drift"]
+    assert fingerprints[backend_name] == fingerprints["oracle"], backend_name
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +167,10 @@ def test_chosen_plans_identical_compiled_vs_interpreted(seed):
 
     workflow, tables = random_workflow(seed)
     chosen = {}
-    for compiled in (False, True):
-        pipeline = StatisticsPipeline(
-            workflow,
-            solver="greedy",
-            backend="vectorized",
-            compile=compiled,
-        )
+    for backend in ("oracle", "columnar"):
+        pipeline = StatisticsPipeline(workflow, solver="greedy", backend=backend)
         report = pipeline.run_once(tables)
-        chosen[compiled] = {
+        chosen[backend] = {
             name: repr(tree) for name, tree in report.chosen_trees.items()
         }
-    assert chosen[True] == chosen[False], seed
+    assert chosen["columnar"] == chosen["oracle"], seed

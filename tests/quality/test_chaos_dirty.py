@@ -24,7 +24,7 @@ SE = SubExpression.of
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1337"))
 _only = os.environ.get("REPRO_CHAOS_BACKEND", "")
-BACKENDS = [_only] if _only else ["columnar", "streaming", "vectorized"]
+BACKENDS = [_only] if _only else ["columnar", "streaming"]
 
 WORKFLOW = 25
 

@@ -14,7 +14,8 @@ from repro.quality import ContractSet, QualityGate
 from repro.workloads import case
 
 WORKFLOW = 25
-BACKENDS = ("columnar", "streaming", "vectorized")
+#: the oracle interpreter first: every engine must match its fingerprint
+BACKENDS = ("oracle", "columnar", "streaming")
 
 DIRTY = FaultPlan(
     (
@@ -55,8 +56,8 @@ def _fingerprint(run):
             (e.source, e.kind, e.column, e.resolution)
             for e in run.schema_drift
         ],
-        # canonical attribute order: the streaming backend materializes
-        # targets from row dicts, so its column order differs
+        # rows as a multiset under a sorted attribute order: only the
+        # content is the contract, not row or column order
         "targets": {
             name: sorted(table.rows(sorted(table.attrs)), key=repr)
             for name, table in run.targets.items()

@@ -33,7 +33,7 @@ pytestmark = pytest.mark.chaos
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1337"))
 _only = os.environ.get("REPRO_CHAOS_BACKEND", "")
-BACKENDS = [_only] if _only else ["columnar", "streaming", "vectorized"]
+BACKENDS = [_only] if _only else ["columnar", "streaming"]
 
 WORKFLOW = 11
 

@@ -121,7 +121,7 @@ class TestExperimentsSlowFigures:
 
 
 class TestRun:
-    @pytest.mark.parametrize("backend", ["columnar", "streaming", "vectorized"])
+    @pytest.mark.parametrize("backend", ["columnar", "streaming"])
     def test_run_on_each_backend(self, backend, capsys):
         assert main(
             ["run", "--number", "9", "--backend", backend,
@@ -134,7 +134,7 @@ class TestRun:
 
     def test_run_with_parallel_workers(self, capsys):
         assert main(
-            ["run", "--number", "25", "--backend", "vectorized",
+            ["run", "--number", "25", "--backend", "columnar",
              "--workers", "4", "--scale", "0.05"]
         ) == 0
         assert "workers=4" in capsys.readouterr().out
@@ -142,6 +142,12 @@ class TestRun:
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--number", "9", "--backend", "bogus"])
+
+    @pytest.mark.parametrize("backend", ["vectorized", "oracle"])
+    def test_removed_and_oracle_backends_not_offered(self, backend, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--number", "9", "--backend", backend])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestErrorPaths:
@@ -521,10 +527,3 @@ class TestCompileFlag:
         out = capsys.readouterr().out
         assert "phase:compile" in out
         assert "cache_misses=" in out and "cache_hits=" in out
-
-    def test_no_compile_runs_the_interpreter(self, capsys):
-        assert main(["run", "--number", "9", "--scale", "0.05",
-                     "--no-compile", "--trace"]) == 0
-        out = capsys.readouterr().out
-        assert "phase:compile" not in out
-        assert "target" in out

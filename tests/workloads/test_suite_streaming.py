@@ -1,8 +1,9 @@
-"""Suite-wide streaming/columnar equivalence.
+"""Suite-wide streaming/oracle equivalence.
 
-Every one of the 30 workflows executes identically under the per-tuple
-streaming executor and the columnar one: same targets, same SE sizes, same
-observed statistics for the greedy-selected set.
+Every one of the 30 workflows executes identically under the serial
+streaming backend (chunked compiled plans, additive taps) and the oracle
+columnar interpreter: same targets, same SE sizes, same observed
+statistics for the greedy-selected set.
 """
 
 import pytest
@@ -12,9 +13,9 @@ from repro.core.costs import CostModel
 from repro.core.generator import generate_css
 from repro.core.greedy import solve_greedy
 from repro.core.selection import build_problem
-from repro.engine.executor import Executor
+from repro.engine.backend import BackendExecutor
 from repro.engine.instrumentation import TapSet
-from repro.engine.streaming import StreamExecutor, StreamingTaps
+from repro.engine.streaming import StreamingTaps
 from repro.workloads import suite
 
 
@@ -26,8 +27,10 @@ def test_streaming_equals_columnar(case):
     selection = solve_greedy(build_problem(catalog, CostModel(workflow.catalog)))
     sources = case.tables(scale=0.06, seed=23)
 
-    columnar = Executor(analysis).run(sources, taps=TapSet(selection.observed))
-    streaming = StreamExecutor(analysis).run(
+    columnar = BackendExecutor(analysis, "oracle").run(
+        sources, taps=TapSet(selection.observed)
+    )
+    streaming = BackendExecutor(analysis, "streaming").run(
         sources, taps=StreamingTaps(selection.observed)
     )
 
